@@ -57,9 +57,13 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
     the SINGQUAD_ORACLE_TOL environment variable.
     """
     if tol is None:
-        tol = float(os.environ.get(ORACLE_TOL_ENV, "1e-12"))
-    if tol < 1e-14:
-        raise ConfigError(f"oracle tolerance must be >= 1e-14, got {tol}")
+        text = os.environ.get(ORACLE_TOL_ENV, "1e-12")
+        try:
+            tol = float(text)
+        except ValueError:
+            raise ConfigError(f"{ORACLE_TOL_ENV} is not a number: {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 1e-14):
+        raise ConfigError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
     fn = f.eval if isinstance(f, Integrand) else f
     half_pi = math.pi / 2.0
 

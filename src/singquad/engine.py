@@ -85,7 +85,8 @@ class SampleCache:
     base_n times a power of two.  Any size n with N divisible by n is a
     stride view into the same array, so nested reads are index-exact and
     never rely on floating-point node comparisons.  One cache serves one
-    integrand; the caller owns that association.
+    integrand: the first ``ensure`` binds it, and a later call with a
+    different callable raises ConfigError.
     """
 
     def __init__(self, base_n: int):
@@ -95,6 +96,7 @@ class SampleCache:
         self.levels = 0
         self.eval_count = 0
         self._values: Optional[np.ndarray] = None
+        self._fn = None
 
     @property
     def finest_n(self) -> int:
@@ -113,10 +115,14 @@ class SampleCache:
         if n < 2 or n % 2:
             raise SizeError(f"cached rule sizes must be even and >= 2, got {n}")
         fn = _as_callable(f)
+        # == rather than is: bound methods are rebuilt on every attribute access.
+        if self._values is not None and fn != self._fn:
+            raise ConfigError("sample cache already holds samples of a different integrand")
         target = self._grow_target(n)
         before = self.eval_count
         if self._values is None:
             self._values = _eval_nodes(fn, ChebGrid(self.base_n).nodes)
+            self._fn = fn
             self.eval_count += self.base_n + 1
         while self.finest_n < target:
             doubled = 2 * self.finest_n

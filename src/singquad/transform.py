@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError, InputError, SizeError
 
 __all__ = [
-    "HALVED_ENDS",
     "ChebGrid",
     "ChebCoeffs",
     "is_supported_size",
@@ -17,11 +17,6 @@ __all__ = [
     "cheb_coeffs",
     "cheb_eval",
 ]
-
-#: Coefficient convention marker:
-#: f ~ a_0/2 + sum_{k=1}^{n-1} a_k T_k + a_n T_n / 2.
-HALVED_ENDS = "halved-ends"
-
 
 def is_supported_size(n: int) -> bool:
     """True when n = m * 2**k with odd part m in {1, 3, 5}."""
@@ -71,7 +66,6 @@ class ChebCoeffs:
     """Chebyshev coefficients a_0..a_n in the halved-ends convention."""
 
     coeffs: np.ndarray
-    convention: str = field(default=HALVED_ENDS)
 
     @property
     def n(self) -> int:
@@ -132,95 +126,11 @@ def cheb_coeffs(samples) -> ChebCoeffs:
     return ChebCoeffs(coeffs=(2.0 / n) * c)
 
 
-def _two_sum(a, b):
-    # Error-free: s + e == a + b exactly in 64-bit arithmetic.
-    s = a + b
-    t = s - a
-    e = (a - (s - t)) + (b - t)
-    return s, e
-
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_prod(a, b):
-    # Error-free: p + e == a * b exactly (Dekker split, no fma needed).
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-    return p, e
-
-
-def _clenshaw_mid(c, xv):
-    # Compensated Clenshaw; the eb accumulators carry the per-step
-    # rounding residue through the same recurrence.
-    two_x = 2.0 * xv
-    z = np.zeros_like(xv)
-    b1, b2, eb1, eb2 = z, z.copy(), z.copy(), z.copy()
-    for k in range(c.size - 1, 0, -1):
-        p, pe = _two_prod(two_x, b1)
-        s1, e1 = _two_sum(p, -b2)
-        s2, e2 = _two_sum(s1, c[k])
-        eb1, eb2 = pe + e1 + e2 + two_x * eb1 - eb2, eb1
-        b1, b2 = s2, b1
-    p, pe = _two_prod(xv, b1)
-    s1, e1 = _two_sum(p, -b2)
-    s2, e2 = _two_sum(s1, 0.5 * c[0])
-    return s2 + (pe + e1 + e2 + xv * eb1 - eb2)
-
-
-def _reinsch_plus(c, xv):
-    # Reinsch variant, stable near x = +1: track d_k = b_k - b_{k+1}.
-    u = 2.0 * (xv - 1.0)
-    z = np.zeros_like(xv)
-    d, b, ed, eb = z, z.copy(), z.copy(), z.copy()
-    for k in range(c.size - 1, 0, -1):
-        p, pe = _two_prod(u, b)
-        s1, e1 = _two_sum(p, d)
-        s2, e2 = _two_sum(s1, c[k])
-        ed = ed + pe + e1 + e2 + u * eb
-        t1, e3 = _two_sum(s2, b)
-        eb = eb + ed + e3
-        d, b = s2, t1
-    p, pe = _two_prod(0.5 * u, b)
-    s1, e1 = _two_sum(p, d)
-    s2, e2 = _two_sum(s1, 0.5 * c[0])
-    return s2 + (pe + e1 + e2 + 0.5 * u * eb + ed)
-
-
-def _reinsch_minus(c, xv):
-    # Mirrored Reinsch variant, stable near x = -1: track e_k = b_k + b_{k+1}.
-    u = 2.0 * (xv + 1.0)
-    z = np.zeros_like(xv)
-    e, b, ee, eb = z, z.copy(), z.copy(), z.copy()
-    for k in range(c.size - 1, 0, -1):
-        p, pe = _two_prod(u, b)
-        s1, e1 = _two_sum(p, -e)
-        s2, e2 = _two_sum(s1, c[k])
-        ee_new = pe + e1 + e2 + u * eb - ee
-        t1, e3 = _two_sum(s2, -b)
-        eb = ee_new - eb + e3
-        e, ee = s2, ee_new
-        b = t1
-    p, pe = _two_prod(0.5 * u, b)
-    s1, e1 = _two_sum(p, -e)
-    s2, e2 = _two_sum(s1, 0.5 * c[0])
-    return s2 + (pe + e1 + e2 + 0.5 * u * eb - ee)
-
-
 def cheb_eval(coeffs, x):
-    """Evaluate a halved-ends Chebyshev sum by backward recurrence.
+    """Evaluate a halved-ends Chebyshev sum by Clenshaw's recurrence.
 
-    Uses compensated Clenshaw for |x| < 1/2 and the Reinsch-modified
-    recurrences (also compensated) on the outer intervals, which stay
-    accurate up to x = +-1 where plain Clenshaw loses ~n^2 eps.  All
-    operations remain 64-bit; the compensation terms only capture the
-    exact per-step rounding residue.
+    Both halved end terms are folded into a copy of the coefficients, and
+    one vectorized backward recurrence runs over all points at once.
 
     Parameters
     ----------
@@ -234,32 +144,22 @@ def cheb_eval(coeffs, x):
     float or numpy.ndarray
         The sum a_0/2 + sum_{k=1}^{n-1} a_k T_k(x) + a_n T_n(x) / 2,
         scalar for scalar x.
+
+    Raises
+    ------
+    DomainError
+        If any point lies outside [-1, 1] or is NaN.
     """
     a = np.asarray(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs, dtype=float)
     xv = np.asarray(x, dtype=float)
-    if np.any(np.abs(xv) > 1.0):
+    # Phrased so that NaN fails the test as well.
+    if not np.all(np.abs(xv) <= 1.0):
         raise DomainError("cheb_eval requires |x| <= 1")
-    n = a.size - 1
-    if n == 0:
+    if a.size == 1:  # n = 0: a_0 is both end terms but is halved once
         out = np.full_like(xv, 0.5 * a[0])
-        return float(out) if xv.ndim == 0 else out
-    c = a.copy()
-    c[-1] *= 0.5  # fold the convention halving of a_n into the recurrence
-    if xv.ndim == 0:
-        xs = float(xv)
-        if xs >= 0.5:
-            return float(_reinsch_plus(c, xv))
-        if xs <= -0.5:
-            return float(_reinsch_minus(c, xv))
-        return float(_clenshaw_mid(c, xv))
-    out = np.empty_like(xv)
-    hi = xv >= 0.5
-    lo = xv <= -0.5
-    mid = ~(hi | lo)
-    if hi.any():
-        out[hi] = _reinsch_plus(c, xv[hi])
-    if lo.any():
-        out[lo] = _reinsch_minus(c, xv[lo])
-    if mid.any():
-        out[mid] = _clenshaw_mid(c, xv[mid])
-    return out
+    else:
+        c = a.copy()
+        c[0] *= 0.5
+        c[-1] *= 0.5
+        out = chebval(xv, c)
+    return float(out) if xv.ndim == 0 else out

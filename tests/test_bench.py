@@ -19,6 +19,7 @@ from singquad.bench import (
     tanh_sinh,
     write_csv,
 )
+from singquad.cli import cli
 from singquad.engine import Integrand
 from singquad.errors import ConfigError, OracleError
 
@@ -55,6 +56,20 @@ def test_oracle_reads_env_tolerance_at_call_time(monkeypatch):
         tanh_sinh(math.exp)
     monkeypatch.setenv("SINGQUAD_ORACLE_TOL", "1e-10")
     assert abs(tanh_sinh(math.exp) - (math.e - 1.0 / math.e)) <= 1e-9
+
+
+@pytest.mark.parametrize("text", ["abc", "nan", "inf"])
+def test_oracle_rejects_malformed_env_tolerance(monkeypatch, text):
+    monkeypatch.setenv("SINGQUAD_ORACLE_TOL", text)
+    with pytest.raises(ConfigError):
+        tanh_sinh(math.exp)
+
+
+def test_malformed_env_tolerance_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("SINGQUAD_ORACLE_TOL", "abc")
+    # F1a takes its reference from the oracle
+    assert cli(["integrate", "--fn", "F1a", "--n", "16"]) == 1
+    assert "SINGQUAD_ORACLE_TOL" in capsys.readouterr().err
 
 
 def test_oracle_raises_on_non_convergence():

@@ -171,6 +171,30 @@ def test_cache_refuses_gauss_rules():
         integrate(gl_rule(8), math.exp, SampleCache(8))
 
 
+def test_cache_refuses_a_second_integrand():
+    # Reusing an exp cache for sin once returned 1.1737 for a zero integral.
+    cache = SampleCache(8)
+    integrate(cc_rule_fast(8), math.exp, cache)
+    with pytest.raises(ConfigError):
+        integrate(cc_rule_fast(16), math.sin, cache)
+    with pytest.raises(ConfigError):
+        integrate(cc_rule_fast(8), math.sin, cache)  # even at a cached size
+    assert cache.eval_count == 9
+    assert integrate(cc_rule_fast(16), math.exp, cache).evals_used == 8
+
+
+def test_cache_accepts_an_equal_bound_method():
+    class Shifted:
+        def value(self, x):
+            return x + 1.0
+
+    s = Shifted()
+    assert s.value is not s.value
+    cache = SampleCache(4)
+    integrate(cc_rule_fast(4), s.value, cache)
+    assert integrate(cc_rule_fast(8), s.value, cache).evals_used == 4
+
+
 # ---------------------------------------------------------------------------
 # aliasing identity
 

@@ -15,7 +15,6 @@ from helpers import (
 )
 from singquad.errors import DomainError, InputError, SizeError
 from singquad.transform import (
-    HALVED_ENDS,
     ChebCoeffs,
     ChebGrid,
     cheb_coeffs,
@@ -156,7 +155,6 @@ def test_coeffs_recover_degree_three_basis_polynomial():
     samples = np.cos(3.0 * ChebGrid(8).angles)
     coeffs = cheb_coeffs(samples)
     assert isinstance(coeffs, ChebCoeffs)
-    assert coeffs.convention == HALVED_ENDS
     expected = np.zeros(9)
     expected[3] = 1.0
     assert np.max(np.abs(coeffs.coeffs - expected)) <= 1e-13
@@ -220,6 +218,16 @@ def test_eval_rejects_points_outside_interval():
         cheb_eval(np.ones(4), np.array([0.0, -1.5]))
 
 
+def test_eval_rejects_nan_scalar():
+    with pytest.raises(DomainError):
+        cheb_eval(np.ones(4), math.nan)
+
+
+def test_eval_rejects_nan_in_array():
+    with pytest.raises(DomainError):
+        cheb_eval(np.ones(4), np.array([0.0, np.nan, 0.5]))
+
+
 def test_eval_scalar_and_array_forms_agree():
     rng = np.random.default_rng(9)
     coeffs = rng.standard_normal(12)
@@ -228,6 +236,16 @@ def test_eval_scalar_and_array_forms_agree():
     scalar = np.array([cheb_eval(coeffs, float(x)) for x in xs])
     assert isinstance(cheb_eval(coeffs, 0.25), float)
     assert np.array_equal(vector, scalar)
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+def test_eval_stays_accurate_at_and_near_the_endpoints(n):
+    """High-degree interpolant of exp evaluated where Clenshaw is weakest."""
+    coeffs = cheb_coeffs(np.exp(ChebGrid(n).nodes))
+    xs = np.array([1.0, -1.0, 1.0 - 1e-9, -(1.0 - 1e-9), 0.999, -0.999])
+    assert np.max(np.abs(cheb_eval(coeffs, xs) - np.exp(xs))) <= 1e-14
+    for x in xs:
+        assert abs(cheb_eval(coeffs, float(x)) - math.exp(x)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
