@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,11 +15,14 @@ from .transform import ChebGrid, dct1, is_supported_size
 __all__ = [
     "RuleKind",
     "QuadratureRule",
-    "DeltaCoeff",
     "cc_rule_direct",
     "cc_rule_fast",
     "gl_rule",
 ]
+
+# Memoized builders keep at most this many rules each; a rule of size n
+# holds 2(n+1) floats, so 32 rules up to n = 65536 stay under 35 MB.
+_MEMO_SIZE = 32
 
 
 class RuleKind(enum.Enum):
@@ -26,23 +31,13 @@ class RuleKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DeltaCoeff:
-    """End-halving coefficient: value 1/2 at j = 0 or j = n, else 1."""
-
-    value: float
-
-    @classmethod
-    def at(cls, j: int, n: int) -> "DeltaCoeff":
-        return cls(0.5 if j in (0, n) else 1.0)
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """An immutable quadrature rule on [-1, 1].
 
     For Clenshaw-Curtis, ``n`` counts intervals (n + 1 points, nodes
     decreasing from +1); for Gauss-Legendre it counts points (nodes
-    increasing).
+    increasing).  Both arrays are made read-only on construction, so a
+    memoized rule shared between callers cannot be altered by one of them.
     """
 
     kind: RuleKind
@@ -56,6 +51,8 @@ class QuadratureRule:
         total = float(self.weights.sum())
         if abs(total - 2.0) > 1e-12:
             raise NumericError(f"{self.kind.value} rule n={self.n}: weights sum to {total!r}")
+        self.nodes.setflags(write=False)
+        self.weights.setflags(write=False)
 
     @property
     def npoints(self) -> int:
@@ -85,6 +82,7 @@ def cc_rule_direct(n: int) -> QuadratureRule:
     return QuadratureRule(RuleKind.CLENSHAW_CURTIS, n, ChebGrid(n).nodes, w)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def cc_rule_fast(n: int) -> QuadratureRule:
     """Clenshaw-Curtis rule in O(n log n) via the DCT-I.
 
@@ -92,6 +90,10 @@ def cc_rule_fast(n: int) -> QuadratureRule:
     with v_k = 2/(1 - 4k^2), k = 0..n/2; the rest follow from the
     symmetry w_j = w_{n-j}.  The odd supported sizes (1, 3, 5) fall back
     to the direct formula.
+
+    Memoized: repeated sizes return the same read-only rule, and
+    ``cc_rule_fast.cache_info()`` counts rules built (misses) and reused
+    (hits).
     """
     if not is_supported_size(n):
         raise SizeError(
@@ -107,42 +109,108 @@ def cc_rule_fast(n: int) -> QuadratureRule:
     return QuadratureRule(RuleKind.CLENSHAW_CURTIS, n, ChebGrid(n).nodes, w)
 
 
-def gl_rule(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule: Newton iteration on the Legendre recurrence.
+# Gauss-Legendre construction.  A node theta (x = cos theta) uses the
+# interior expansion when 2 (n + 1/2) sin(theta) reaches _INTERIOR_MIN, where
+# _INTERIOR_TERMS terms of it are accurate to rounding; the few nodes nearer
+# the ends use the exact cosine sum.
+_INTERIOR_MIN = 30.0
+_INTERIOR_TERMS = 20
+_NEWTON_STEPS = 10
+_NEWTON_TOL = 1e-12  # relative to theta; the step after it is below rounding
 
-    Nodes are the roots of P_n found by Newton's method started from the
-    Chebyshev roots cos((2i+1)pi/(2n)); weights are
-    w_i = 2 / ((1 - x_i^2) P_n'(x_i)^2).  Nodes are stored increasing.
-    Exact for polynomials of degree <= 2n - 1.
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def gl_rule(n: int) -> QuadratureRule:
+    """Gauss-Legendre rule in O(n) work, nodes increasing.
+
+    The nodes are x = cos(theta) for the roots theta in (0, pi/2] of
+    P_n(cos theta), mirrored to the other half, so the rule is exactly
+    +/- symmetric (an odd rule's middle node is exactly 0.0).  Newton's
+    method in theta starts from Tricomi's initial guesses.  Interior
+    nodes evaluate P_n by the Stieltjes-Szego asymptotic expansion
+    (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013); the nodes
+    nearest the ends, and every node of a small rule, use the exact finite
+    sum P_n(cos theta) = sum_k g_k g_{n-k} cos((n - 2k) theta) with
+    g_k = prod_{j<=k} (2j - 1)/(2j).  Weights are w = 2 / (dP_n/dtheta)^2
+    at the converged roots.  Exact for polynomials of degree <= 2n - 1.
+
+    Memoized: repeated sizes return the same read-only rule, and
+    ``gl_rule.cache_info()`` counts rules built (misses) and reused (hits).
+    Raises NumericError if Newton's method does not converge.
     """
     if n < 1:
         raise SizeError(f"rule size must be >= 1, got {n}")
-    i = np.arange(n)
-    x = -np.cos((2.0 * i + 1.0) * np.pi / (2.0 * n))  # increasing initial guesses
-    for _ in range(100):
-        p, p_prev = _legendre_pair(n, x)
-        deriv = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / deriv
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    else:
-        raise NumericError(f"Legendre root search did not converge for n={n}")
-    p, p_prev = _legendre_pair(n, x)
-    deriv = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * deriv * deriv)
-    # enforce the exact +/- symmetry of the true roots and weights
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    return QuadratureRule(RuleKind.GAUSS_LEGENDRE, n, x, w)
+    k = np.arange(1, (n + 1) // 2 + 1)
+    phi = (4.0 * k - 1.0) * np.pi / (4.0 * n + 2.0)
+    theta = np.arccos(
+        (1.0 - (n - 1.0) / (8.0 * n**3.0) - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4.0))
+        * np.cos(phi)
+    )
+    interior = 2.0 * (n + 0.5) * np.sin(theta) >= _INTERIOR_MIN
+    dp = np.empty_like(theta)
+    for part, legendre in ((interior, _interior_expansion), (~interior, _cosine_sum)):
+        evaluate = legendre(n)
+        t = theta[part]
+        for _ in range(_NEWTON_STEPS):
+            p, d = evaluate(t)
+            step = p / d
+            t = t - step
+            if np.all(np.abs(step) <= _NEWTON_TOL * t):
+                break
+        else:
+            raise NumericError(f"Gauss-Legendre Newton iteration did not converge for n={n}")
+        theta[part] = t
+        dp[part] = evaluate(t)[1]
+    x = np.cos(theta)  # decreasing from near +1
+    w = 2.0 / (dp * dp)
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) = 0 exactly for odd n; cos(pi/2) is not 0.0
+    nodes = np.concatenate([-x[: n // 2], x[::-1]])
+    weights = np.concatenate([w[: n // 2], w[::-1]])
+    return QuadratureRule(RuleKind.GAUSS_LEGENDRE, n, nodes, weights)
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    if n == 1:
-        return p, p_prev
-    for k in range(2, n + 1):
-        p, p_prev = ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k, p
-    return p, p_prev
+def _interior_expansion(n: int):
+    """theta -> (P_n(cos theta), dP_n/dtheta) by the Stieltjes-Szego expansion.
+
+    P_n(cos theta) = C_n sum_m h_m cos(a_m) / (2 sin theta)^(m + 1/2) with
+    a_m = (n + m + 1/2) theta - (m + 1/2) pi/2, h_0 = 1 and
+    h_{m+1} = h_m (m + 1/2)^2 / ((m + 1)(n + m + 3/2)).  Since
+    a_m = a_0 + m (theta - pi/2), the sum is the real part of
+    exp(i a_0) / sqrt(2 sin theta) times a polynomial in
+    q = (1 - i cot theta) / 2, evaluated by Horner's rule.  Term m of
+    the derivative gains the factor i n + (m + 1/2)(i - cot theta).
+    """
+    m = np.arange(_INTERIOR_TERMS - 1.0)
+    h = np.cumprod(np.concatenate([[1.0], (m + 0.5) ** 2 / ((m + 1.0) * (n + m + 1.5))]))
+    h_half = h * (np.arange(_INTERIOR_TERMS) + 0.5)
+    # C_n = (4/pi) prod_{j<=n} j/(j + 1/2); the lgamma route cancels to ~1e-12
+    c_n = 4.0 / np.pi * math.exp(-math.fsum(np.log1p(0.5 / np.arange(1.0, n + 1.0))))
+
+    def evaluate(theta):
+        sin_t = np.sin(theta)
+        cot = np.cos(theta) / sin_t
+        q = 0.5 - 0.5j * cot
+        s0 = np.polyval(h[::-1], q)
+        s1 = np.polyval(h_half[::-1], q)
+        e = c_n * np.exp(1j * ((n + 0.5) * theta - np.pi / 4.0)) / np.sqrt(2.0 * sin_t)
+        return (e * s0).real, (e * (1j * n * s0 + (1j - cot) * s1)).real
+
+    return evaluate
+
+
+def _cosine_sum(n: int):
+    """theta -> (P_n(cos theta), dP_n/dtheta) by the exact finite cosine sum.
+
+    The coefficients g_k g_{n-k} are positive and sum to P_n(1) = 1.
+    """
+    j = np.arange(1.0, n + 1.0)
+    g = np.cumprod(np.concatenate([[1.0], (2.0 * j - 1.0) / (2.0 * j)]))
+    coef = g * g[::-1]
+    freq = n - 2.0 * np.arange(n + 1)
+
+    def evaluate(theta):
+        angles = np.outer(theta, freq)
+        return np.cos(angles) @ coef, -(np.sin(angles) @ (coef * freq))
+
+    return evaluate

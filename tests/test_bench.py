@@ -131,6 +131,13 @@ def test_corpus_pointwise_values():
     assert math.isfinite(corpus_function("F2a").integrand(1.0 - 1e-12))
 
 
+def test_stored_closed_forms_match_frozen_references():
+    """B(3/4, 1/2) and B(7/12, 1/2) from mpmath.beta at 40 digits, rounded to 20."""
+    frozen = {"F3a": 2.3962804694711844149, "F3b": 2.8275143349194304644}
+    for fid, value in frozen.items():
+        assert abs(corpus_function(fid).closed_form - value) <= 3e-16 * value, fid
+
+
 def test_stored_closed_forms_agree_with_the_oracle():
     for fid in ("F3a", "F3b"):
         fn = corpus_function(fid)
