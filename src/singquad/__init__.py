@@ -6,135 +6,19 @@ optional log(1-x) factor, and Richardson extrapolation driven by the
 resulting error-exponent ladders.
 """
 
-from .accel import (
-    ExtrapolationTableau,
-    RateEstimate,
-    default_noise_floor,
-    extrapolate_rows,
-    fit_rate,
-    richardson,
-)
-from .bench import (
-    ConvergenceRecord,
-    CorpusFunction,
-    ExperimentConfig,
-    corpus,
-    corpus_function,
-    run_experiment,
-    tanh_sinh,
-    write_csv,
-)
-from .engine import (
-    Integrand,
-    QuadratureResult,
-    SampleCache,
-    aliasing_error,
-    cc_integrate_by_coeffs,
-    integrate,
-    integrate_split,
-    pairwise_sum,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    InputError,
-    InsufficientDataError,
-    IntegrandError,
-    NumericError,
-    OracleError,
-    ProfileError,
-    RangeError,
-    SingquadError,
-    SizeError,
-)
-from .rules import QuadratureRule, RuleKind, cc_rule_direct, cc_rule_fast, gl_rule
-from .singular import (
-    AsymptoteTerm,
-    CoeffAsymptote,
-    ExponentLadder,
-    LadderOrigin,
-    Parity,
-    SingularityProfile,
-    SmoothnessIndex,
-    bernoulli,
-    classify_s,
-    coeff_asymptote,
-    exponent_ladder,
-    faulhaber_sum,
-    hatphi2_pi,
-    hatphi_pi,
-    hatpsi0,
-    hatpsi2_0,
-    lemma_H,
-    lemma_H_closed,
-    predict_coeff,
-)
-from .transform import ChebCoeffs, ChebGrid, cheb_coeffs, cheb_eval, dct1, is_supported_size
+from . import accel, bench, engine, errors, rules, singular, transform
+from .accel import *
+from .bench import *
+from .engine import *
+from .errors import *
+from .rules import *
+from .singular import *
+from .transform import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoteTerm",
-    "ChebCoeffs",
-    "ChebGrid",
-    "CoeffAsymptote",
-    "ConfigError",
-    "ConvergenceRecord",
-    "CorpusFunction",
-    "DomainError",
-    "ExperimentConfig",
-    "ExponentLadder",
-    "ExtrapolationTableau",
-    "InputError",
-    "InsufficientDataError",
-    "Integrand",
-    "IntegrandError",
-    "LadderOrigin",
-    "NumericError",
-    "OracleError",
-    "Parity",
-    "ProfileError",
-    "QuadratureResult",
-    "QuadratureRule",
-    "RangeError",
-    "RateEstimate",
-    "RuleKind",
-    "SampleCache",
-    "SingquadError",
-    "SingularityProfile",
-    "SizeError",
-    "SmoothnessIndex",
-    "aliasing_error",
-    "bernoulli",
-    "cc_integrate_by_coeffs",
-    "cc_rule_direct",
-    "cc_rule_fast",
-    "cheb_coeffs",
-    "cheb_eval",
-    "classify_s",
-    "coeff_asymptote",
-    "corpus",
-    "corpus_function",
-    "dct1",
-    "default_noise_floor",
-    "exponent_ladder",
-    "extrapolate_rows",
-    "faulhaber_sum",
-    "fit_rate",
-    "gl_rule",
-    "hatphi2_pi",
-    "hatphi_pi",
-    "hatpsi0",
-    "hatpsi2_0",
-    "integrate",
-    "integrate_split",
-    "is_supported_size",
-    "lemma_H",
-    "lemma_H_closed",
-    "pairwise_sum",
-    "predict_coeff",
-    "richardson",
-    "run_experiment",
-    "tanh_sinh",
-    "write_csv",
+    name
+    for module in (accel, bench, engine, errors, rules, singular, transform)
+    for name in module.__all__
 ]

@@ -1,21 +1,22 @@
 """Reference corpus, tanh-sinh oracle, and convergence experiments.
 
 The corpus carries six endpoint-singular integrands with exact profile
-data.  References come from Beta-function closed forms where one exists
-and from a tanh-sinh (double-exponential) oracle otherwise; the oracle
-never evaluates the integrand at the endpoints.  Experiment output is a
-deterministic list of records, optionally rendered to CSV.
+data.  References come from a tanh-sinh (double-exponential) oracle,
+which never evaluates the integrand at the endpoints; Beta-function
+closed forms, where they exist, are kept to cross-check it.  Experiment
+output is a deterministic list of records, optionally rendered to CSV.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from .accel import richardson
-from .engine import Integrand, SampleCache, integrate
+from .engine import Integrand, SampleCache, _as_callable, integrate
 from .errors import ConfigError, OracleError, SingquadError
 from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, exponent_ladder
@@ -29,9 +30,6 @@ __all__ = [
     "corpus_function",
     "run_experiment",
     "write_csv",
-    "render_csv",
-    "parse_config_text",
-    "parse_n_spec",
 ]
 
 CSV_HEADER = "n,method,approx,abs_error,evals"
@@ -63,7 +61,7 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
             raise ConfigError(f"{ORACLE_TOL_ENV} is not a number: {text!r}") from None
     if not (math.isfinite(tol) and tol >= 1e-14):
         raise ConfigError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
-    fn = f.eval if isinstance(f, Integrand) else f
+    fn = _as_callable(f)
     half_pi = math.pi / 2.0
 
     def sample(t: float) -> float:
@@ -105,27 +103,18 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
 
 @dataclass(frozen=True)
 class CorpusFunction:
-    """One benchmark integrand with profile data and a reference source.
+    """One benchmark integrand with profile data.
 
-    ``reference`` is "closed-form" or "oracle".  Where a Beta-function
-    closed form exists it is stored in ``closed_form`` even when the
-    oracle is the designated reference, so the two can be cross-checked.
+    The reference is always the tanh-sinh oracle.  Where a Beta-function
+    closed form exists it is stored in ``closed_form``, so the two can be
+    cross-checked.
     """
 
     id: str
     integrand: Integrand
-    reference: str = "oracle"
     closed_form: Optional[float] = None
 
-    def __post_init__(self):
-        if self.reference not in ("closed-form", "oracle"):
-            raise ConfigError(f"unknown reference kind {self.reference!r}")
-        if self.reference == "closed-form" and self.closed_form is None:
-            raise ConfigError(f"corpus entry {self.id} claims a closed form but stores none")
-
     def reference_value(self, tol: Optional[float] = None) -> float:
-        if self.reference == "closed-form":
-            return self.closed_form
         return tanh_sinh(self.integrand, tol)
 
 
@@ -178,69 +167,47 @@ def _arccos_profile(m: int) -> SingularityProfile:
     )
 
 
-_E = math.e
+def _exp_profile(alpha: float, beta: float) -> SingularityProfile:
+    # g(x) = exp(x): g and g' are e at x = 1 and 1/e at x = -1
+    return SingularityProfile(
+        alpha=alpha,
+        beta=beta,
+        g_at_1=math.e,
+        g_at_minus1=1.0 / math.e,
+        g_prime_at_1=math.e,
+        g_prime_at_minus1=1.0 / math.e,
+    )
+
+
+def _log_profile(beta: float) -> SingularityProfile:
+    # s*log(s) * (1 + x)**beta * cos(x + 1) with s = 1 - x: alpha = 1, g(x) = cos(x + 1)
+    return SingularityProfile(
+        alpha=1.0,
+        beta=beta,
+        log_left=True,
+        g_at_1=math.cos(2.0),
+        g_at_minus1=1.0,
+        g_prime_at_1=-math.sin(2.0),
+        g_prime_at_minus1=0.0,
+    )
+
+
 _CORPUS = (
     CorpusFunction(
         id="F1a",
-        integrand=Integrand(
-            _f1a,
-            SingularityProfile(
-                alpha=0.5,
-                beta=0.0,
-                g_at_1=_E,
-                g_at_minus1=1.0 / _E,
-                g_prime_at_1=_E,
-                g_prime_at_minus1=1.0 / _E,
-            ),
-            label="F1a",
-        ),
+        integrand=Integrand(_f1a, _exp_profile(0.5, 0.0), label="F1a"),
     ),
     CorpusFunction(
         id="F1b",
-        integrand=Integrand(
-            _f1b,
-            SingularityProfile(
-                alpha=0.75,
-                beta=0.25,
-                g_at_1=_E,
-                g_at_minus1=1.0 / _E,
-                g_prime_at_1=_E,
-                g_prime_at_minus1=1.0 / _E,
-            ),
-            label="F1b",
-        ),
+        integrand=Integrand(_f1b, _exp_profile(0.75, 0.25), label="F1b"),
     ),
     CorpusFunction(
         id="F2a",
-        integrand=Integrand(
-            _f2a,
-            SingularityProfile(
-                alpha=1.0,
-                beta=0.0,
-                log_left=True,
-                g_at_1=math.cos(2.0),
-                g_at_minus1=1.0,
-                g_prime_at_1=-math.sin(2.0),
-                g_prime_at_minus1=0.0,
-            ),
-            label="F2a",
-        ),
+        integrand=Integrand(_f2a, _log_profile(0.0), label="F2a"),
     ),
     CorpusFunction(
         id="F2b",
-        integrand=Integrand(
-            _f2b,
-            SingularityProfile(
-                alpha=1.0,
-                beta=0.5,
-                log_left=True,
-                g_at_1=math.cos(2.0),
-                g_at_minus1=1.0,
-                g_prime_at_1=-math.sin(2.0),
-                g_prime_at_minus1=0.0,
-            ),
-            label="F2b",
-        ),
+        integrand=Integrand(_f2b, _log_profile(0.5), label="F2b"),
     ),
     CorpusFunction(
         id="F3a",
@@ -314,50 +281,40 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every (method, n) pair of the experiment against the reference.
 
     Methods run independently: a failure at one size aborts that method's
-    remaining sizes but leaves the other methods untouched.  Records come
+    remaining sizes, with a RuntimeWarning naming the function, method,
+    size and error, but leaves the other methods untouched.  Records come
     out in deterministic (method, n) order, methods in canonical order.
     """
     function = corpus_function(cfg.fn)
     f = function.integrand
     reference = function.reference_value()
     records: list = []
-    for method in METHOD_ORDER:
-        if method not in cfg.methods:
-            continue
+    for method in (m for m in METHOD_ORDER if m in cfg.methods):
+        cache = SampleCache(cfg.n_values[0])
+        n = cfg.n_values[0]
         try:
-            if method == "cc":
-                cache = SampleCache(cfg.n_values[0])
-                for n in cfg.n_values:
-                    result = integrate(cc_rule_fast(n), f, cache)
-                    records.append(
-                        ConvergenceRecord(
-                            cfg.fn, method, n, result.approx,
-                            abs(result.approx - reference), result.evals_used,
-                        )
-                    )
-            elif method == "gl":
-                for n in cfg.n_values:
-                    result = integrate(gl_rule(n), f)
-                    records.append(
-                        ConvergenceRecord(
-                            cfg.fn, method, n, result.approx,
-                            abs(result.approx - reference), result.evals_used,
-                        )
-                    )
-            else:
+            if method in ("r1", "r2"):
                 q = 1 if method == "r1" else 2
                 ladder = exponent_ladder(f.profile, q)
-                cache = SampleCache(cfg.n_values[0])
-                for n in cfg.n_values:
+            for n in cfg.n_values:
+                if method == "cc":
+                    result = integrate(cc_rule_fast(n), f, cache)
+                    approx, evals = result.approx, result.evals_used
+                elif method == "gl":
+                    result = integrate(gl_rule(n), f)
+                    approx, evals = result.approx, result.evals_used
+                else:
                     tableau = richardson(f, n, q, ladder, cache)
-                    records.append(
-                        ConvergenceRecord(
-                            cfg.fn, method, n, tableau.value,
-                            abs(tableau.value - reference), tableau.evals_used,
-                        )
-                    )
-        except SingquadError:
-            continue  # this method's series stops; the others still run
+                    approx, evals = tableau.value, tableau.evals_used
+                records.append(
+                    ConvergenceRecord(cfg.fn, method, n, approx, abs(approx - reference), evals)
+                )
+        except SingquadError as exc:
+            warnings.warn(
+                f"{cfg.fn}: method {method} stopped at n={n}: {type(exc).__name__}: {exc}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     if cfg.out is not None:
         write_csv(records, cfg.out)
     return records

@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import bench
 from .accel import richardson
-from .engine import SampleCache, cc_integrate_by_coeffs, integrate
+from .engine import SampleCache, _eval_nodes, cc_integrate_by_coeffs, integrate
 from .errors import NumericError, SingquadError
 from .rules import RuleKind, cc_rule_direct, cc_rule_fast, gl_rule
 from .singular import SingularityProfile, classify_s, exponent_ladder, predict_coeff
@@ -79,7 +80,7 @@ def _cmd_ladder(args) -> int:
 def _cmd_coeffs(args) -> int:
     function = bench.corpus_function(args.fn)
     f = function.integrand
-    samples = [f(float(x)) for x in ChebGrid(args.n).nodes]
+    samples = _eval_nodes(f, ChebGrid(args.n).nodes)
     coeffs = cheb_coeffs(samples).coeffs
     print("k,coeff,predicted")
     for k in range(args.n + 1):
@@ -197,6 +198,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def cli(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -206,7 +211,9 @@ def cli(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.run(args)
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2

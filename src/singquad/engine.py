@@ -1,9 +1,7 @@
 """Quadrature application: cached sampling, summation, aliasing, splitting.
 
 The cache stores integrand samples on nested Chebyshev-Lobatto grids so
-that doubling the rule size only pays for the new odd-index nodes.  All
-dot products run through a pairwise tree reduction for reproducible,
-low-error accumulation.
+that doubling the rule size only pays for the new odd-index nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ __all__ = [
     "Integrand",
     "SampleCache",
     "QuadratureResult",
-    "pairwise_sum",
     "integrate",
     "cc_integrate_by_coeffs",
     "aliasing_error",
@@ -143,19 +140,6 @@ class SampleCache:
         return self._values[:: self.finest_n // n]
 
 
-def pairwise_sum(values) -> float:
-    """Sum by pairwise tree reduction (zero-padding to a power of two is exact)."""
-    a = np.asarray(values, dtype=float)
-    if a.size == 0:
-        return 0.0
-    size = 1 << (a.size - 1).bit_length()
-    if size != a.size:
-        a = np.concatenate([a, np.zeros(size - a.size)])
-    while a.size > 1:
-        a = a[0::2] + a[1::2]
-    return float(a[0])
-
-
 def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> QuadratureResult:
     """Apply ``rule`` to ``f``, optionally reading samples through ``cache``.
 
@@ -172,7 +156,7 @@ def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> Q
     else:
         values = _eval_nodes(fn, rule.nodes)
         evals = rule.npoints
-    approx = pairwise_sum(rule.weights * values)
+    approx = float(np.sum(rule.weights * values))
     return QuadratureResult(approx, rule.n, evals, rule.kind)
 
 
@@ -191,7 +175,7 @@ def cc_integrate_by_coeffs(f, n: int, cache: SampleCache) -> QuadratureResult:
     terms = a[::2] * (2.0 / (1.0 - k.astype(float) ** 2))
     terms[0] *= 0.5
     terms[-1] *= 0.5
-    approx = pairwise_sum(terms)
+    approx = float(np.sum(terms))
     return QuadratureResult(approx, n, evals, RuleKind.CLENSHAW_CURTIS)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, SizeError
-from .transform import ChebGrid, dct1, is_supported_size
+from .transform import ChebGrid, _check_size, dct1
 
 __all__ = [
     "RuleKind",
@@ -95,10 +95,7 @@ def cc_rule_fast(n: int) -> QuadratureRule:
     ``cc_rule_fast.cache_info()`` counts rules built (misses) and reused
     (hits).
     """
-    if not is_supported_size(n):
-        raise SizeError(
-            f"unsupported rule size n={n}; supported sizes are m*2**k with m in {{1, 3, 5}}"
-        )
+    _check_size(n)
     if n % 2 == 1:
         return cc_rule_direct(n)
     k = np.arange(n // 2 + 1)

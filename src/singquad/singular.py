@@ -74,7 +74,7 @@ class SingularityProfile:
     g_prime_at_minus1: float = 0.0
 
     def __post_init__(self):
-        _validate_quadrature(self)
+        _validate(self, "quadrature")
 
     @classmethod
     def unchecked(
@@ -107,7 +107,14 @@ def _is_integer(x: float) -> bool:
     return float(x).is_integer()
 
 
-def _validate_fields(p: SingularityProfile) -> None:
+def _validate(p: SingularityProfile, use: str) -> None:
+    """Check ``p`` for one use; ``use`` picks the admissible exponent range.
+
+    "quadrature": alpha, beta >= 0.  "asymptotic": alpha, beta > -1/2.
+    "endpoint": alpha, beta > -1/2, and two integer exponents are allowed:
+    they merely mean a smooth integrand, which has no singular branch but
+    perfectly good endpoint auxiliary values.
+    """
     for name in ("alpha", "beta", "g_at_1", "g_at_minus1", "g_prime_at_1", "g_prime_at_minus1"):
         if not math.isfinite(getattr(p, name)):
             raise ProfileError(f"profile field {name} must be finite")
@@ -115,40 +122,19 @@ def _validate_fields(p: SingularityProfile) -> None:
         raise ProfileError(
             f"the log(1-x) factor requires a positive integer alpha, got alpha={p.alpha}"
         )
-
-
-def _validate_common(p: SingularityProfile) -> None:
-    _validate_fields(p)
-    if not p.log_left and _is_integer(p.alpha) and _is_integer(p.beta):
+    if use != "endpoint" and not p.log_left and _is_integer(p.alpha) and _is_integer(p.beta):
         raise ProfileError(
             f"alpha={p.alpha} and beta={p.beta} must not both be integers without a log factor"
         )
-
-
-def _validate_quadrature(p: SingularityProfile) -> None:
-    _validate_common(p)
-    if p.alpha < 0 or p.beta < 0:
-        raise ProfileError(f"quadrature profiles need alpha, beta >= 0, got ({p.alpha}, {p.beta})")
-
-
-def _check_asymptotic_range(p: SingularityProfile) -> None:
-    if p.alpha <= -0.5 or p.beta <= -0.5:
+    if use == "quadrature":
+        if p.alpha < 0 or p.beta < 0:
+            raise ProfileError(
+                f"quadrature profiles need alpha, beta >= 0, got ({p.alpha}, {p.beta})"
+            )
+    elif p.alpha <= -0.5 or p.beta <= -0.5:
         raise ProfileError(
             f"coefficient asymptotics need alpha, beta > -1/2, got ({p.alpha}, {p.beta})"
         )
-
-
-def _validate_asymptotic(p: SingularityProfile) -> None:
-    _validate_common(p)
-    _check_asymptotic_range(p)
-
-
-def _validate_hat(p: SingularityProfile) -> None:
-    # The endpoint auxiliary values are defined for any finite profile in
-    # the asymptotic range; two integer exponents merely mean a smooth
-    # integrand, which has no singular branch but perfectly good hat values.
-    _validate_fields(p)
-    _check_asymptotic_range(p)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +212,7 @@ def classify_s(p: SingularityProfile) -> SmoothnessIndex:
     the log factor: s = 2*alpha when beta is an integer, 2*min(alpha, beta)
     otherwise.
     """
-    _validate_quadrature(p)
+    _validate(p, "quadrature")
     a, b = p.alpha, p.beta
     if p.log_left:
         s = 2.0 * a if _is_integer(b) else 2.0 * min(a, b)
@@ -248,7 +234,7 @@ def exponent_ladder(p: SingularityProfile, count: int) -> ExponentLadder:
     """
     if count < 1:
         raise ConfigError(f"ladder length must be >= 1, got {count}")
-    _validate_quadrature(p)
+    _validate(p, "quadrature")
     a, b = p.alpha, p.beta
     fam_a = [2.0 * a + 2.0 * j + 1.0 for j in range(count)]
     fam_b = [2.0 * b + 2.0 * j + 1.0 for j in range(count)]
@@ -344,7 +330,7 @@ def coeff_asymptote(p: SingularityProfile) -> CoeffAsymptote:
     with non-integer beta the dominant branch is selected by the sign of
     alpha - beta (the left-endpoint branch carries an extra log 2).
     """
-    _validate_asymptotic(p)
+    _validate(p, "asymptotic")
     a, b = p.alpha, p.beta
     terms: list[AsymptoteTerm] = []
     if not p.log_left:
@@ -391,26 +377,26 @@ def predict_coeff(p: SingularityProfile, n: int) -> float:
 
 def hatpsi0(p: SingularityProfile) -> float:
     """Value of the right-endpoint auxiliary function at angle 0: g(1)/2**(2*alpha)."""
-    _validate_hat(p)
+    _validate(p, "endpoint")
     return p.g_at_1 / 2.0 ** (2.0 * p.alpha)
 
 
 def hatphi_pi(p: SingularityProfile) -> float:
     """Value of the left-endpoint auxiliary function at angle pi: g(-1)/2**(2*beta)."""
-    _validate_hat(p)
+    _validate(p, "endpoint")
     return p.g_at_minus1 / 2.0 ** (2.0 * p.beta)
 
 
 def hatpsi2_0(p: SingularityProfile) -> float:
     """Second derivative of the right-endpoint auxiliary function at angle 0."""
-    _validate_hat(p)
+    _validate(p, "endpoint")
     a, b = p.alpha, p.beta
     return -p.g_at_1 / 2.0 ** (2.0 * a + 1.0) * (a / 3.0 + b) - p.g_prime_at_1 / 2.0 ** (2.0 * a)
 
 
 def hatphi2_pi(p: SingularityProfile) -> float:
     """Second derivative of the left-endpoint auxiliary function at angle pi."""
-    _validate_hat(p)
+    _validate(p, "endpoint")
     a, b = p.alpha, p.beta
     return -p.g_at_minus1 / 2.0 ** (2.0 * b + 1.0) * (a + b / 3.0) + p.g_prime_at_minus1 / 2.0 ** (
         2.0 * b

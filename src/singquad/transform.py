@@ -30,7 +30,7 @@ def is_supported_size(n: int) -> bool:
 def _check_size(n: int) -> None:
     if not is_supported_size(n):
         raise SizeError(
-            f"unsupported transform size n={n}; supported sizes are m*2**k with m in {{1, 3, 5}}"
+            f"unsupported size n={n}; supported sizes are m*2**k with m in {{1, 3, 5}}"
         )
 
 

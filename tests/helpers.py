@@ -69,17 +69,21 @@ def dct1_direct_longdouble(values):
     A float64 direct sum carries round-off near 8e-13 of the data scale
     at n = 4096, which would swamp the 1e-13 agreement bound it is meant
     to referee.  Tests may use extended precision; the package may not.
+    cos(j*k*pi/n) depends only on j*k mod 2n, so one table of 2n cosines,
+    gathered by that index, serves every term and reduces each argument
+    exactly.
     """
     v = np.asarray(values, dtype=np.longdouble).copy()
     n = v.size - 1
     v[0] *= 0.5
     v[-1] *= 0.5
-    j = np.arange(n + 1, dtype=np.longdouble)
+    table = np.cos(np.arange(2 * n, dtype=np.longdouble) * (PI_LONG / n))
+    j = np.arange(n + 1)
     out = np.empty(n + 1, dtype=np.longdouble)
-    step = 256  # keeps the longdouble cosine block under ~20 MB
+    step = 256  # keeps the gathered longdouble block under ~20 MB
     for start in range(0, n + 1, step):
         k = j[start : start + step, None]
-        out[start : start + step] = np.cos(k * j * (PI_LONG / n)) @ v
+        out[start : start + step] = table[(k * j) % (2 * n)] @ v
     return out
 
 

@@ -135,6 +135,20 @@ def test_experiment_flags_override_the_config(capsys, tmp_path):
     assert lines[1].startswith("16,gl,")
 
 
+def test_dropped_series_warns_on_stderr(capsys):
+    # cc_rule_fast(28) raises SizeError; gl has no size restriction
+    code, out, err = _run(
+        capsys, ["experiment", "--fn", "F1a", "--methods", "cc,gl", "--n", "16,28"]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [tuple(l.split(",")[:2]) for l in lines[1:]] == [
+        ("16", "cc"), ("16", "gl"), ("28", "gl"),
+    ]
+    assert err.startswith("warning: F1a: method cc stopped at n=28: SizeError: ")
+
+
 def test_experiment_out_flag_writes_a_file(capsys, tmp_path):
     path = tmp_path / "records.csv"
     code, out, _ = _run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import split_reference, supported_sizes
+from singquad.bench import corpus_function
 from singquad.engine import (
     Integrand,
     SampleCache,
@@ -13,12 +14,11 @@ from singquad.engine import (
     cc_integrate_by_coeffs,
     integrate,
     integrate_split,
-    pairwise_sum,
 )
 from singquad.errors import ConfigError, DomainError, InputError, IntegrandError, SizeError
 from singquad.rules import RuleKind, cc_rule_direct, cc_rule_fast, gl_rule
 from singquad.singular import SingularityProfile
-from singquad.transform import ChebGrid
+from singquad.transform import ChebGrid, cheb_coeffs
 
 
 def brute_cc_error(n, m):
@@ -224,19 +224,32 @@ def test_aliasing_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# pairwise summation
+# summation accuracy
+
+SUM_CASES = pytest.mark.parametrize(
+    "f",
+    [corpus_function("F1a").integrand, lambda x: math.cos(200.0 * x)],
+    ids=["F1a", "cos200x"],
+)
 
 
-def test_pairwise_sum_tracks_fsum():
-    rng = np.random.default_rng(11)
-    values = rng.uniform(-1.0, 1.0, 1000)
-    err = abs(pairwise_sum(values) - math.fsum(values))
-    assert err <= 2e-15 * np.sum(np.abs(values))
+@SUM_CASES
+def test_weight_space_sum_tracks_fsum(f):
+    rule = cc_rule_fast(4096)
+    products = rule.weights * np.array([f(float(x)) for x in rule.nodes])
+    err = abs(integrate(rule, f).approx - math.fsum(products))
+    assert err <= 2e-15 * math.fsum(np.abs(products))
 
 
-def test_pairwise_sum_edge_cases():
-    assert pairwise_sum([]) == 0.0
-    assert pairwise_sum([3.25]) == 3.25
+@SUM_CASES
+def test_coefficient_space_sum_tracks_fsum(f):
+    n = 4096
+    cache = SampleCache(n)
+    approx = cc_integrate_by_coeffs(f, n, cache).approx
+    k = np.arange(0, n + 1, 2)
+    terms = cheb_coeffs(cache.values_at(n)).coeffs[::2] * (2.0 / (1.0 - k**2.0))
+    terms[[0, -1]] *= 0.5
+    assert abs(approx - math.fsum(terms)) <= 2e-15 * math.fsum(np.abs(terms))
 
 
 # ---------------------------------------------------------------------------

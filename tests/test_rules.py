@@ -17,11 +17,19 @@ from singquad.rules import (
 
 
 def exactness_errors(rule, degree):
-    """Worst |rule applied to x^k - integral| over k = 0..degree."""
-    powers = np.arange(degree + 1)
-    vander = rule.nodes[None, :] ** powers[:, None]
-    exact = np.where(powers % 2 == 0, 2.0 / (powers + 1.0), 0.0)
-    return np.max(np.abs(vander @ rule.weights - exact))
+    """Worst |rule applied to x^k - integral| over k = 0..degree.
+
+    The monomial table is built by repeated multiplication in extended
+    precision, so the rule's own error is not masked by float64 rounding
+    of the powers or of their weighted sums.
+    """
+    x = rule.nodes.astype(np.longdouble)
+    vander = np.ones((degree + 1, x.size), dtype=np.longdouble)
+    for k in range(degree):
+        vander[k + 1] = vander[k] * x
+    k = np.arange(degree + 1, dtype=np.longdouble)
+    exact = np.where(k % 2 == 0, 2 / (k + 1), 0)
+    return float(np.max(np.abs(vander @ rule.weights.astype(np.longdouble) - exact)))
 
 
 # ---------------------------------------------------------------------------
