@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import SampleCache, integrate
-from .errors import ConfigError, InsufficientDataError, SizeError
+from .errors import ConfigError, InsufficientDataError
 from .rules import cc_rule_fast
 from .singular import ExponentLadder
 
@@ -80,22 +80,17 @@ def richardson(
 ) -> ExtrapolationTableau:
     """Run q extrapolation levels above Clenshaw-Curtis at sizes base_n..2**q*base_n.
 
-    Only even base sizes are accepted; the ladder must supply at least q
-    exponents.  A fresh cache is created unless one compatible with
-    ``base_n`` (equal or a power-of-two divisor) is passed in.
+    The ladder must supply at least q exponents.  A fresh cache on
+    ``base_n`` is created unless one is passed in; the cache decides which
+    sizes it serves (even sizes that divide a doubling of its base) and
+    raises SizeError for the rest.
     """
-    if base_n < 2 or base_n % 2:
-        raise SizeError(f"extrapolation base size must be even and >= 2, got {base_n}")
     if q < 0:
         raise ConfigError(f"extrapolation depth must be >= 0, got {q}")
     if len(ladder) < q:
         raise ConfigError(f"depth {q} needs a ladder of length >= {q}, got {len(ladder)}")
     if cache is None:
         cache = SampleCache(base_n)
-    elif base_n % cache.base_n:
-        raise SizeError(
-            f"cache base {cache.base_n} does not divide extrapolation base {base_n}"
-        )
     evals = 0
     row0 = []
     for k in range(q + 1):

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .accel import richardson
 from .engine import Integrand, SampleCache, _as_callable, integrate
-from .errors import ConfigError, OracleError, SingquadError
+from .errors import ConfigError, IntegrandError, OracleError, SingquadError
 from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, exponent_ladder
 
@@ -51,7 +51,8 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
     consecutive levels agree to ``tol`` (relative plus absolute).  Nodes
     whose mapped abscissa rounds to +/-1 are dropped, so f is never
     called at the endpoints.  ``tol`` defaults to 1e-12, overridable via
-    the SINGQUAD_ORACLE_TOL environment variable.
+    the SINGQUAD_ORACLE_TOL environment variable.  A non-finite integrand
+    value raises IntegrandError naming its abscissa.
     """
     if tol is None:
         text = os.environ.get(ORACLE_TOL_ENV, "1e-12")
@@ -72,7 +73,12 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
         w = half_pi * math.cosh(t) / math.cosh(u) ** 2
         if w == 0.0:
             return 0.0
-        return w * fn(x)
+        v = fn(x)
+        if not math.isfinite(v):
+            raise IntegrandError(
+                f"integrand returned non-finite value {v!r} at node {x!r}", node=x
+            )
+        return w * v
 
     h = 1.0
     total = sample(0.0)

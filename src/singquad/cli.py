@@ -73,7 +73,7 @@ def _cmd_ladder(args) -> int:
     profile = SingularityProfile(alpha=args.alpha, beta=args.beta, log_left=args.log)
     s = classify_s(profile)
     ladder = exponent_ladder(profile, args.count)
-    print(f"s={float(s)!r}; d=[{_floats(ladder)}]")
+    print(f"s={s!r}; d=[{_floats(ladder)}]")
     return 0
 
 
@@ -214,6 +214,11 @@ def cli(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.run(args)
+    except RuntimeWarning as exc:
+        # A dropped series under -W error: the warning is raised while
+        # handling the SingquadError that ended the series.
+        sys.stderr.write(f"error: {exc}\n")
+        return 2 if isinstance(exc.__context__, NumericError) else 1
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2

@@ -81,9 +81,11 @@ class SampleCache:
     Holds f(cos(j*pi/N)) for the finest size N reached so far, where N is
     base_n times a power of two.  Any size n with N divisible by n is a
     stride view into the same array, so nested reads are index-exact and
-    never rely on floating-point node comparisons.  One cache serves one
-    integrand: the first ``ensure`` binds it, and a later call with a
-    different callable raises ConfigError.
+    never rely on floating-point node comparisons.  The cache is the one
+    place that decides which sizes nested sampling serves: even sizes
+    n >= 2 that divide a doubling of base_n; others raise SizeError.  One
+    cache serves one integrand: the first ``ensure`` binds it, and a later
+    call with a different callable raises ConfigError.
     """
 
     def __init__(self, base_n: int):
@@ -167,8 +169,6 @@ def cc_integrate_by_coeffs(f, n: int, cache: SampleCache) -> QuadratureResult:
     a_k * 2/(1-k^2) over even k, halving the k = 0 and k = n ends.  Must
     match the weight-space path to rounding error.
     """
-    if n < 2 or n % 2:
-        raise SizeError(f"coefficient-space integration needs even n >= 2, got {n}")
     evals = cache.ensure(f, n)
     a = cheb_coeffs(cache.values_at(n)).coeffs
     k = np.arange(0, n + 1, 2)

@@ -20,7 +20,7 @@ class SingquadError(Exception):
 
 
 class SizeError(SingquadError, ValueError):
-    """Rule or transform size is invalid or unsupported."""
+    """Rule, transform or cache size is invalid."""
 
 
 class InputError(SingquadError, ValueError):

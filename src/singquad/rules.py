@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, SizeError
-from .transform import ChebGrid, _check_size, dct1
+from .transform import ChebGrid, dct1
 
 __all__ = [
     "RuleKind",
@@ -84,25 +84,23 @@ def cc_rule_direct(n: int) -> QuadratureRule:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def cc_rule_fast(n: int) -> QuadratureRule:
-    """Clenshaw-Curtis rule in O(n log n) via the DCT-I.
+    """Clenshaw-Curtis rule in O(n log n) via one DCT-I, for any n >= 1.
 
-    For even n the half-range weights are (2 delta_j / n) * dct1(v)_j
-    with v_k = 2/(1 - 4k^2), k = 0..n/2; the rest follow from the
-    symmetry w_j = w_{n-j}.  The odd supported sizes (1, 3, 5) fall back
-    to the direct formula.
+    The weights are (2 delta_j / n) * dct1(v)_j with v_k = 2/(1 - k^2) on
+    even k and 0 on odd k, k = 0..n (Waldvogel, BIT 46, 2006).
 
     Memoized: repeated sizes return the same read-only rule, and
     ``cc_rule_fast.cache_info()`` counts rules built (misses) and reused
     (hits).
     """
-    _check_size(n)
-    if n % 2 == 1:
-        return cc_rule_direct(n)
-    k = np.arange(n // 2 + 1)
-    v = 2.0 / (1.0 - 4.0 * k * k)
-    w_half = (2.0 / n) * dct1(v)
-    w_half[0] *= 0.5
-    w = np.concatenate([w_half, w_half[-2::-1]])
+    if n < 1:
+        raise SizeError(f"rule size must be >= 1, got {n}")
+    k = np.arange(0, n + 1, 2)
+    v = np.zeros(n + 1)
+    v[::2] = 2.0 / (1.0 - k * k)
+    w = (2.0 / n) * dct1(v)
+    w[0] *= 0.5
+    w[-1] *= 0.5
     return QuadratureRule(RuleKind.CLENSHAW_CURTIS, n, ChebGrid(n).nodes, w)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -25,8 +25,6 @@ from .errors import ConfigError, DomainError, ProfileError, RangeError
 
 __all__ = [
     "SingularityProfile",
-    "SmoothnessIndex",
-    "LadderOrigin",
     "ExponentLadder",
     "Parity",
     "AsymptoteTerm",
@@ -142,37 +140,14 @@ def _validate(p: SingularityProfile, use: str) -> None:
 
 
 @dataclass(frozen=True)
-class SmoothnessIndex:
-    """Decay class s: the coefficients of the profiled f decay as O(n^{-s-1})."""
-
-    s: float
-
-    def __post_init__(self):
-        if not (self.s > 0):
-            raise ProfileError(f"smoothness index must be positive, got {self.s}")
-
-    def __float__(self) -> float:
-        return self.s
-
-
-class LadderOrigin(enum.Enum):
-    ALGEBRAIC = "algebraic"
-    ALGEBRAIC_LOG = "algebraic-log"
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
 class ExponentLadder:
-    """Strictly increasing error-expansion exponents d_0 < d_1 < ...
+    """Strictly increasing, positive error-expansion exponents d_0 < d_1 < ...
 
-    Profile-derived ladders satisfy d_0 = s + 1 and can be re-derived at
-    any length via :meth:`extended`; custom ladders exist for ablation
-    experiments.
+    Profile-derived ladders come from :func:`exponent_ladder` and satisfy
+    d_0 = s + 1.
     """
 
     d: tuple
-    origin: LadderOrigin
-    profile: SingularityProfile | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.d) < 1:
@@ -182,17 +157,6 @@ class ExponentLadder:
                 raise ConfigError(f"ladder exponents must increase strictly, got {self.d}")
         if self.d[0] <= 0:
             raise ConfigError(f"ladder exponents must be positive, got {self.d}")
-
-    @classmethod
-    def custom(cls, values) -> "ExponentLadder":
-        return cls(tuple(float(v) for v in values), LadderOrigin.CUSTOM)
-
-    def extended(self, count: int) -> "ExponentLadder":
-        if len(self.d) >= count:
-            return self
-        if self.profile is None:
-            raise ConfigError("cannot extend a custom ladder; supply more exponents explicitly")
-        return exponent_ladder(self.profile, count)
 
     def __len__(self) -> int:
         return len(self.d)
@@ -204,8 +168,8 @@ class ExponentLadder:
         return iter(self.d)
 
 
-def classify_s(p: SingularityProfile) -> SmoothnessIndex:
-    """Smoothness index s of a profiled integrand.
+def classify_s(p: SingularityProfile) -> float:
+    """Smoothness index s of a profiled integrand: its coefficients decay as O(n^{-s-1}).
 
     Algebraic case: s = 2*min(alpha, beta) when neither exponent is an
     integer, 2*alpha when beta is an integer, 2*beta when alpha is.  With
@@ -222,7 +186,7 @@ def classify_s(p: SingularityProfile) -> SmoothnessIndex:
         s = 2.0 * b
     else:
         s = 2.0 * min(a, b)
-    return SmoothnessIndex(s)
+    return s
 
 
 def exponent_ladder(p: SingularityProfile, count: int) -> ExponentLadder:
@@ -240,21 +204,18 @@ def exponent_ladder(p: SingularityProfile, count: int) -> ExponentLadder:
     fam_b = [2.0 * b + 2.0 * j + 1.0 for j in range(count)]
     if p.log_left:
         values = fam_a if _is_integer(b) else fam_a + fam_b
-        origin = LadderOrigin.ALGEBRAIC_LOG
+    elif _is_integer(b):
+        values = fam_a
+    elif _is_integer(a):
+        values = fam_b
     else:
-        origin = LadderOrigin.ALGEBRAIC
-        if _is_integer(b):
-            values = fam_a
-        elif _is_integer(a):
-            values = fam_b
-        else:
-            values = fam_a + fam_b
+        values = fam_a + fam_b
     values.sort()
     merged: list[float] = []
     for v in values:
         if not merged or v - merged[-1] > 1e-12 * (1.0 + abs(v)):
             merged.append(v)
-    return ExponentLadder(tuple(merged[:count]), origin, profile=p)
+    return ExponentLadder(tuple(merged[:count]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +229,16 @@ class Parity(enum.Enum):
 
 @dataclass(frozen=True)
 class AsymptoteTerm:
-    """One term amplitude * n**(-exponent), optionally alternating/log-carrying."""
+    """One term amplitude * n**(-exponent), optionally alternating in sign."""
 
     amplitude: float
     exponent: float
     parity: Parity
-    log_n_factor: bool = False
 
     def at(self, n: int) -> float:
         value = self.amplitude * float(n) ** (-self.exponent)
         if self.parity is Parity.ALTERNATING and n % 2 == 0:
             value = -value
-        if self.log_n_factor:
-            value *= math.log(n)
         return value
 
 
@@ -289,12 +247,6 @@ class CoeffAsymptote:
     """Leading terms of the large-n Chebyshev coefficient asymptote."""
 
     terms: tuple
-
-    def __post_init__(self):
-        for parity in Parity:
-            exps = [t.exponent for t in self.terms if t.parity is parity]
-            if any(not hi > lo for lo, hi in zip(exps, exps[1:])):
-                raise ConfigError("asymptote exponents must increase within a parity class")
 
     def at(self, n: int) -> float:
         return sum(t.at(n) for t in self.terms)

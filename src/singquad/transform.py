@@ -12,26 +12,10 @@ from .errors import DomainError, InputError, SizeError
 __all__ = [
     "ChebGrid",
     "ChebCoeffs",
-    "is_supported_size",
     "dct1",
     "cheb_coeffs",
     "cheb_eval",
 ]
-
-def is_supported_size(n: int) -> bool:
-    """True when n = m * 2**k with odd part m in {1, 3, 5}."""
-    if n < 1:
-        return False
-    while n % 2 == 0:
-        n //= 2
-    return n in (1, 3, 5)
-
-
-def _check_size(n: int) -> None:
-    if not is_supported_size(n):
-        raise SizeError(
-            f"unsupported size n={n}; supported sizes are m*2**k with m in {{1, 3, 5}}"
-        )
 
 
 class ChebGrid:
@@ -85,8 +69,7 @@ def dct1(values) -> np.ndarray:
     Parameters
     ----------
     values : array_like
-        The n + 1 real samples v_0..v_n.  The size n must be of the form
-        m * 2**k with m in {1, 3, 5}.
+        The n + 1 real samples v_0..v_n, for any n >= 1.
 
     Returns
     -------
@@ -95,16 +78,12 @@ def dct1(values) -> np.ndarray:
 
     Raises
     ------
-    SizeError
-        If n is not a supported transform size.
     InputError
-        If any sample is not finite.
+        If fewer than two values are given or any sample is not finite.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise InputError(f"expected a 1-d array of at least 2 values, got shape {v.shape}")
-    n = v.size - 1
-    _check_size(n)
     if not np.isfinite(v).all():
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise InputError(f"non-finite sample at index {bad}")
@@ -118,8 +97,8 @@ def cheb_coeffs(samples) -> ChebCoeffs:
     """Chebyshev interpolation coefficients from Lobatto-grid samples.
 
     Given samples_j = f(cos(j*pi/n)), returns coefficients a_k = (2/n) c_k
-    such that f ~ a_0/2 + sum_{k=1}^{n-1} a_k T_k + a_n T_n / 2.  Exact
-    (up to round-off) for polynomials of degree <= n.
+    such that f ~ a_0/2 + sum_{k=1}^{n-1} a_k T_k + a_n T_n / 2, for any
+    n >= 1.  Exact (up to round-off) for polynomials of degree <= n.
     """
     c = dct1(samples)
     n = c.size - 1

@@ -19,8 +19,12 @@ from singquad.transform import ChebGrid, cheb_coeffs
 PI_LONG = np.longdouble("3.141592653589793238462643383279502884")
 
 
+# Sizes that are not m * 2**k with m in {1, 3, 5}, odd and even, up to 2**12 + 1.
+OTHER_SIZES = (7, 28, 97, 1000, 2047, 4097)
+
+
 def supported_sizes(limit, minimum=1):
-    """All transform sizes m * 2**k (m in {1, 3, 5}) within [minimum, limit]."""
+    """The sweep sizes m * 2**k (m in {1, 3, 5}) within [minimum, limit]."""
     out = set()
     for m in (1, 3, 5):
         n = m
@@ -97,14 +101,13 @@ def dct_coeff(fn, k, resolution):
     return cheb_coeffs(sample_on_grid(fn, resolution)).coeffs[k]
 
 
-def alias_closed_prediction(profile, k, big_n, images=20000):
+def alias_closed_prediction(profile, k, big_n):
     """Asymptote value at index k, folded with its DCT aliasing images.
 
     A resolution-big_n transform adds the true coefficients at indices
     2*big_n*j +/- k onto index k.  All image indices share k's parity,
     so per-term signs factor out: each pure power p folds into the
-    closed pair of Hurwitz zeta values, while log-bearing terms use a
-    direct image sum with an integral tail correction.
+    closed pair of Hurwitz zeta values.
     """
     total = 0.0
     for term in coeff_asymptote(profile).terms:
@@ -113,21 +116,8 @@ def alias_closed_prediction(profile, k, big_n, images=20000):
             continue
         p = term.exponent
         kappa = k / (2.0 * big_n)
-        if not term.log_n_factor:
-            fold = kappa**p * (hurwitz_zeta(p, 1.0 - kappa) + hurwitz_zeta(p, 1.0 + kappa))
-            total += base * (1.0 + fold)
-        else:
-            signed_amp = base / (k ** (-p) * math.log(k))
-            j = np.arange(1.0, images + 1.0)
-            lo = 2.0 * big_n * j - k
-            hi = 2.0 * big_n * j + k
-            image_sum = float(np.sum(lo ** (-p) * np.log(lo) + hi ** (-p) * np.log(hi)))
-            cut = 2.0 * big_n * (images + 0.5)
-            tail = 2.0 * (
-                math.log(cut) / ((p - 1.0) * cut ** (p - 1.0))
-                + 1.0 / ((p - 1.0) ** 2 * cut ** (p - 1.0))
-            )
-            total += base + signed_amp * (image_sum + tail)
+        fold = kappa**p * (hurwitz_zeta(p, 1.0 - kappa) + hurwitz_zeta(p, 1.0 + kappa))
+        total += base * (1.0 + fold)
     return total
 
 

@@ -17,7 +17,7 @@ from singquad.rules import cc_rule_fast
 from singquad.singular import ExponentLadder, exponent_ladder
 
 
-LADDER_24 = ExponentLadder.custom([2.0, 4.0])
+LADDER_24 = ExponentLadder((2.0, 4.0))
 
 
 def _counted(f):
@@ -38,7 +38,7 @@ def _counted(f):
 def test_single_level_annihilates_matching_power():
     # Values 1/n^3 at n and 2n: one level with d_0 = 2 removes the term
     # exactly (all quantities are dyadic, so the float arithmetic is exact).
-    rows = extrapolate_rows([1.0 / 8.0, 1.0 / 64.0], ExponentLadder.custom([2.0]))
+    rows = extrapolate_rows([1.0 / 8.0, 1.0 / 64.0], ExponentLadder((2.0,)))
     assert rows[0] == [1.0 / 8.0, 1.0 / 64.0]
     assert rows[1] == [0.0]
 
@@ -50,7 +50,7 @@ def test_row_lengths_shrink_by_one_per_level():
 
 def test_more_levels_than_ladder_entries_is_rejected():
     with pytest.raises(ConfigError):
-        extrapolate_rows([3.0, 2.0, 1.0], ExponentLadder.custom([2.0]))
+        extrapolate_rows([3.0, 2.0, 1.0], ExponentLadder((2.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,15 @@ def test_coarser_cache_base_is_accepted():
     tab = richardson(f, 16, 1, LADDER_24, cache=SampleCache(8))
     exact = math.log(3.0)
     assert abs(tab.value - exact) < 1e-12
+
+
+def test_finer_cache_base_serves_a_divisor_as_a_stride_view():
+    f = corpus_function("F1a").integrand
+    ladder = exponent_ladder(f.profile, 1)
+    shared = richardson(f, 8, 1, ladder, SampleCache(16))
+    fresh = richardson(f, 8, 1, ladder)
+    assert shared.rows == fresh.rows
+    assert shared.evals_used == fresh.evals_used == 17
 
 
 def test_richardson_validation():

@@ -19,7 +19,7 @@ from singquad.bench import (
     write_csv,
 )
 from singquad.cli import cli
-from singquad.errors import ConfigError, OracleError
+from singquad.errors import ConfigError, IntegrandError, OracleError
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,20 @@ def test_oracle_raises_on_non_convergence():
     # an interior algebraic singularity defeats endpoint-clustered nodes
     with pytest.raises(OracleError):
         tanh_sinh(lambda x: abs(x - 0.1) ** -0.6, 1e-12)
+
+
+def test_oracle_raises_on_the_first_non_finite_value():
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return math.nan if x > 0.5 else 1.0
+
+    with pytest.raises(IntegrandError) as caught:
+        tanh_sinh(f, 1e-12)
+    bad = [x for x in nodes if x > 0.5]
+    assert bad == [caught.value.node]
+    assert str(caught.value.node) in str(caught.value)
 
 
 def test_oracle_self_consistency_across_tolerances():
@@ -202,14 +216,15 @@ def test_records_come_out_in_canonical_order():
 
 
 def test_failing_series_warns_and_keeps_the_other_methods():
-    # cc_rule_fast(28) raises SizeError: 28 is not m * 2**k with m in {1, 3, 5}
+    # the cc series shares one SampleCache(16), which cannot serve n = 28
     cfg = ExperimentConfig(fn="F1a", methods=("cc", "gl"), n_values=(16, 28))
     with pytest.warns(RuntimeWarning) as caught:
         records = run_experiment(cfg)
     assert [(r.method, r.n) for r in records] == [("cc", 16), ("gl", 16), ("gl", 28)]
     assert len(caught) == 1
     message = str(caught[0].message)
-    for part in ("F1a", "cc", "n=28", "SizeError", "unsupported size n=28"):
+    cause = "size 28 does not divide a doubling of base 16"
+    for part in ("F1a", "cc", "n=28", "SizeError", cause):
         assert part in message, part
 
 

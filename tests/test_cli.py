@@ -3,12 +3,13 @@
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from singquad.bench import CSV_HEADER
 from singquad.cli import cli, main
-from singquad.errors import OracleError
+from singquad.errors import NumericError, OracleError
 
 
 def _run(capsys, argv):
@@ -136,7 +137,7 @@ def test_experiment_flags_override_the_config(capsys, tmp_path):
 
 
 def test_dropped_series_warns_on_stderr(capsys):
-    # cc_rule_fast(28) raises SizeError; gl has no size restriction
+    # the cc series' SampleCache(16) cannot serve n = 28; gl samples afresh
     code, out, err = _run(
         capsys, ["experiment", "--fn", "F1a", "--methods", "cc,gl", "--n", "16,28"]
     )
@@ -147,6 +148,34 @@ def test_dropped_series_warns_on_stderr(capsys):
         ("16", "cc"), ("16", "gl"), ("28", "gl"),
     ]
     assert err.startswith("warning: F1a: method cc stopped at n=28: SizeError: ")
+
+
+def test_dropped_series_under_warnings_as_errors_is_one_error_line(capsys):
+    # as under python -W error: the warning ends the run, exit code of a SizeError
+    argv = ["experiment", "--fn", "F1a", "--methods", "cc,gl", "--n", "16,28"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: F1a: method cc stopped at n=28: SizeError: "
+        "size 28 does not divide a doubling of base 16\n"
+    )
+
+
+def test_dropped_series_under_warnings_as_errors_keeps_the_numeric_exit_code(
+    capsys, monkeypatch
+):
+    def failing_rule(n):
+        raise NumericError("no convergence")
+
+    monkeypatch.setattr("singquad.bench.gl_rule", failing_rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(capsys, ["experiment", "--fn", "F1a", "--methods", "gl", "--n", "16"])
+    assert code == 2
+    assert err == "error: F1a: method gl stopped at n=16: NumericError: no convergence\n"
 
 
 def test_experiment_out_flag_writes_a_file(capsys, tmp_path):

@@ -23,7 +23,7 @@ from singquad.transform import ChebGrid, cheb_coeffs
 
 def brute_cc_error(n, m):
     """Rule error on the degree-m Chebyshev basis polynomial, by evaluation."""
-    rule = cc_rule_direct(n)  # any even n, not just transform sizes
+    rule = cc_rule_direct(n)  # the O(n^2) reference, independent of the DCT
     samples = np.cos(m * ChebGrid(n).angles)
     exact = 0.0 if m % 2 else 2.0 / (1.0 - float(m) ** 2)
     return exact - float(rule.weights @ samples)
@@ -228,28 +228,33 @@ def test_aliasing_argument_validation():
 
 SUM_CASES = pytest.mark.parametrize(
     "f",
-    [corpus_function("F1a").integrand, lambda x: math.cos(200.0 * x)],
-    ids=["F1a", "cos200x"],
+    [corpus_function("F1a").integrand, lambda x: math.cos(200.0 * x), lambda x: 1.0],
+    ids=["F1a", "cos200x", "one"],
 )
+# At n = 65536 a left-to-right sum is off math.fsum by more than the bound:
+# 1.2e-14 (f = 1) and 7.2e-15 (F1a) relative over the weight-space
+# products, and 1.0e-13 (F1a) over the coefficient-space terms.
+SUM_SIZES = (4096, 65536)
 
 
 @SUM_CASES
 def test_weight_space_sum_tracks_fsum(f):
-    rule = cc_rule_fast(4096)
-    products = rule.weights * np.array([f(float(x)) for x in rule.nodes])
-    err = abs(integrate(rule, f).approx - math.fsum(products))
-    assert err <= 2e-15 * math.fsum(np.abs(products))
+    for n in SUM_SIZES:
+        rule = cc_rule_fast(n)
+        products = rule.weights * np.array([f(float(x)) for x in rule.nodes])
+        err = abs(integrate(rule, f).approx - math.fsum(products))
+        assert err <= 2e-15 * math.fsum(np.abs(products)), n
 
 
 @SUM_CASES
 def test_coefficient_space_sum_tracks_fsum(f):
-    n = 4096
-    cache = SampleCache(n)
-    approx = cc_integrate_by_coeffs(f, n, cache).approx
-    k = np.arange(0, n + 1, 2)
-    terms = cheb_coeffs(cache.values_at(n)).coeffs[::2] * (2.0 / (1.0 - k**2.0))
-    terms[[0, -1]] *= 0.5
-    assert abs(approx - math.fsum(terms)) <= 2e-15 * math.fsum(np.abs(terms))
+    for n in SUM_SIZES:
+        cache = SampleCache(n)
+        approx = cc_integrate_by_coeffs(f, n, cache).approx
+        k = np.arange(0, n + 1, 2)
+        terms = cheb_coeffs(cache.values_at(n)).coeffs[::2] * (2.0 / (1.0 - k**2.0))
+        terms[[0, -1]] *= 0.5
+        assert abs(approx - math.fsum(terms)) <= 2e-15 * math.fsum(np.abs(terms)), n
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Tests for the package surface: exports, version, error taxonomy."""
+"""Tests for the package surface: exports, version, error taxonomy, README."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,15 +45,15 @@ EXPORTS = [
     "AsymptoteTerm", "ChebCoeffs", "ChebGrid", "CoeffAsymptote", "ConfigError",
     "ConvergenceRecord", "CorpusFunction", "DomainError", "ExperimentConfig",
     "ExponentLadder", "ExtrapolationTableau", "InputError", "InsufficientDataError",
-    "Integrand", "IntegrandError", "LadderOrigin", "NumericError", "OracleError",
+    "Integrand", "IntegrandError", "NumericError", "OracleError",
     "Parity", "ProfileError", "QuadratureResult", "QuadratureRule", "RangeError",
     "RateEstimate", "RuleKind", "SampleCache", "SingquadError", "SingularityProfile",
-    "SizeError", "SmoothnessIndex", "aliasing_error", "bernoulli",
+    "SizeError", "aliasing_error", "bernoulli",
     "cc_integrate_by_coeffs", "cc_rule_direct", "cc_rule_fast", "cheb_coeffs",
     "cheb_eval", "classify_s", "coeff_asymptote", "corpus", "corpus_function", "dct1",
     "default_noise_floor", "exponent_ladder", "extrapolate_rows", "faulhaber_sum",
     "fit_rate", "gl_rule", "hatphi2_pi", "hatphi_pi", "hatpsi0", "hatpsi2_0",
-    "integrate", "integrate_split", "is_supported_size", "lemma_H", "lemma_H_closed",
+    "integrate", "integrate_split", "lemma_H", "lemma_H_closed",
     "predict_coeff", "richardson", "run_experiment", "tanh_sinh", "write_csv",
 ]
 
@@ -88,6 +90,17 @@ def test_numeric_errors_are_runtimeerrors():
 
 def test_one_except_clause_catches_everything():
     with pytest.raises(SingquadError):
-        singquad.cc_rule_fast(7)
+        singquad.cc_rule_fast(0)
     with pytest.raises(SingquadError):
         singquad.tanh_sinh(lambda x: abs(x - 0.1) ** -0.6, 1e-12)
+
+
+def test_readme_quick_start_runs_as_documented(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    stated = re.search(r"# (\d+) evaluations", code)
+    assert stated is not None
+    exec(compile(code, str(readme), "exec"), {})
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.split()[-1] == stated.group(1) == "65"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gl_rule_recurrence, supported_sizes
+from helpers import OTHER_SIZES, gl_rule_recurrence, supported_sizes
 from singquad.errors import NumericError, SizeError
 from singquad.rules import (
     QuadratureRule,
@@ -74,6 +74,15 @@ def test_fast_weights_are_exactly_symmetric_for_even_sizes():
     for n in (2, 8, 64, 1024):
         w = cc_rule_fast(n).weights
         assert np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("n", OTHER_SIZES)
+def test_fast_rule_at_any_size(n):
+    fast = cc_rule_fast(n).weights
+    direct = cc_rule_direct(n).weights
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(direct)
+    assert np.array_equal(fast, fast[::-1])
+    assert abs(fast.sum() - 2.0) <= 1e-12
 
 
 def test_gl_rule_at_n1_is_the_midpoint_rule():
@@ -229,7 +238,7 @@ def test_size_errors():
     with pytest.raises(SizeError):
         cc_rule_direct(0)
     with pytest.raises(SizeError):
-        cc_rule_fast(7)
+        cc_rule_fast(0)
     with pytest.raises(SizeError):
         gl_rule(0)
 
@@ -253,7 +262,7 @@ def test_memoized_builders_raise_on_every_call():
         with pytest.raises(SizeError):
             gl_rule(0)
         with pytest.raises(SizeError):
-            cc_rule_fast(7)
+            cc_rule_fast(0)
 
 
 def test_cache_info_counts_rules_built_and_reused():

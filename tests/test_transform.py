@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    OTHER_SIZES,
     alias_closed_prediction,
     dct1_direct_longdouble,
     dct_coeff,
@@ -20,7 +21,6 @@ from singquad.transform import (
     cheb_coeffs,
     cheb_eval,
     dct1,
-    is_supported_size,
 )
 
 # ---------------------------------------------------------------------------
@@ -52,14 +52,6 @@ def test_grid_doubling_nests_bit_exactly(n):
 def test_grid_rejects_nonpositive_size():
     with pytest.raises(SizeError):
         ChebGrid(0)
-
-
-def test_supported_size_predicate():
-    expected = [1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24]
-    assert [n for n in range(1, 25) if is_supported_size(n)] == expected
-    assert is_supported_size(4096)
-    assert not is_supported_size(7)
-    assert not is_supported_size(0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +96,14 @@ def test_dct1_matches_direct_sum_at_every_supported_size():
         assert err <= 1e-13 * scale, f"n={n}: error {err:.3e} at scale {scale:.3e}"
 
 
+@pytest.mark.parametrize("n", OTHER_SIZES)
+def test_dct1_matches_direct_sum_at_any_size(n):
+    values = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+    ref = dct1_direct_longdouble(values)
+    err = np.max(np.abs(dct1(values) - np.asarray(ref, dtype=float)))
+    assert err <= 1e-13 * float(np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("n", [4, 16, 256, 1024])
 def test_even_samples_yield_vanishing_odd_coeffs(n):
     rng = np.random.default_rng(n)
@@ -114,8 +114,6 @@ def test_even_samples_yield_vanishing_odd_coeffs(n):
 
 
 def test_dct1_rejects_unsupported_sizes():
-    with pytest.raises(SizeError):
-        dct1(np.ones(8))  # n = 7
     with pytest.raises(InputError):
         dct1([1.0])  # a single value is not a transformable vector
 
