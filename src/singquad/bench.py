@@ -71,8 +71,6 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
         if abs(x) >= 1.0:
             return 0.0
         w = half_pi * math.cosh(t) / math.cosh(u) ** 2
-        if w == 0.0:
-            return 0.0
         v = fn(x)
         if not math.isfinite(v):
             raise IntegrandError(
@@ -120,8 +118,8 @@ class CorpusFunction:
     integrand: Integrand
     closed_form: Optional[float] = None
 
-    def reference_value(self, tol: Optional[float] = None) -> float:
-        return tanh_sinh(self.integrand, tol)
+    def reference_value(self) -> float:
+        return tanh_sinh(self.integrand)
 
 
 def _beta(a: float, b: float) -> float:

@@ -13,9 +13,9 @@ import warnings
 
 from . import bench
 from .accel import richardson
-from .engine import SampleCache, _eval_nodes, cc_integrate_by_coeffs, integrate
+from .engine import _eval_nodes, integrate
 from .errors import NumericError, SingquadError
-from .rules import RuleKind, cc_rule_direct, cc_rule_fast, gl_rule
+from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, classify_s, exponent_ladder, predict_coeff
 from .transform import ChebGrid, cheb_coeffs
 
@@ -39,10 +39,7 @@ def _floats(values) -> str:
 
 
 def _cmd_rule(args) -> int:
-    if args.kind == "cc":
-        rule = cc_rule_fast(args.n) if args.fast else cc_rule_direct(args.n)
-    else:
-        rule = gl_rule(args.n)
+    rule = cc_rule_fast(args.n) if args.kind == "cc" else gl_rule(args.n)
     print(f"kind: {rule.kind.value}")
     print(f"n: {rule.n}")
     print(f"nodes: {_floats(rule.nodes)}")
@@ -53,12 +50,8 @@ def _cmd_rule(args) -> int:
 def _cmd_integrate(args) -> int:
     function = bench.corpus_function(args.fn)
     f = function.integrand
-    if args.method == "coeffs":
-        result = cc_integrate_by_coeffs(f, args.n, SampleCache(args.n))
-    elif args.method == "gl":
-        result = integrate(gl_rule(args.n), f)
-    else:
-        result = integrate(cc_rule_fast(args.n), f)
+    rule = gl_rule(args.n) if args.method == "gl" else cc_rule_fast(args.n)
+    result = integrate(rule, f)
     reference = function.reference_value()
     print(f"fn: {args.fn}")
     print(f"method: {args.method}")
@@ -111,9 +104,11 @@ _FIGURES = {1: ("F1a", "F1b"), 2: ("F2a", "F2b"), 3: ("F3a", "F3b")}
 
 
 def _cmd_reproduce(args) -> int:
+    if args.max_n < 8:
+        raise SingquadError(f"--max-n must be >= 8, got {args.max_n}")
+    n_values = tuple(8 * 2**k for k in range((args.max_n // 8).bit_length()))
     fn_ids = _FIGURES[args.figure]
     os.makedirs(args.out, exist_ok=True)
-    n_values = bench.parse_n_spec(f"8..{args.max_n} x2")
     for fn_id in fn_ids:
         path = os.path.join(args.out, f"figure{args.figure}_{fn_id}.csv")
         cfg = bench.ExperimentConfig(fn=fn_id, n_values=n_values, out=path)
@@ -154,13 +149,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rule", help="print a quadrature rule's nodes and weights")
     p.add_argument("--kind", choices=["cc", "gl"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fast", action="store_true", help="use the transform-based construction")
     p.set_defaults(run=_cmd_rule)
 
     p = sub.add_parser("integrate", help="integrate a corpus function")
     p.add_argument("--fn", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=["cc", "gl", "coeffs"], default="cc")
+    p.add_argument("--method", choices=["cc", "gl"], default="cc")
     p.set_defaults(run=_cmd_integrate)
 
     p = sub.add_parser("ladder", help="print the smoothness index and exponent ladder")

@@ -1,7 +1,9 @@
-"""Quadrature application: cached sampling, summation, aliasing, splitting.
+"""Quadrature application: cached sampling, summation, aliasing.
 
 The cache stores integrand samples on nested Chebyshev-Lobatto grids so
-that doubling the rule size only pays for the new odd-index nodes.
+that doubling the rule size only pays for the new odd-index nodes.  A
+rule's value is its weights against the samples, summed by numpy's
+pairwise ``np.sum``.
 """
 
 from __future__ import annotations
@@ -13,18 +15,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, InputError, IntegrandError, SizeError
-from .rules import QuadratureRule, RuleKind, cc_rule_fast
+from .rules import QuadratureRule, RuleKind
 from .singular import SingularityProfile
-from .transform import ChebGrid, cheb_coeffs
+from .transform import ChebGrid
 
 __all__ = [
     "Integrand",
     "SampleCache",
     "QuadratureResult",
     "integrate",
-    "cc_integrate_by_coeffs",
     "aliasing_error",
-    "integrate_split",
 ]
 
 
@@ -162,23 +162,6 @@ def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> Q
     return QuadratureResult(approx, rule.n, evals, rule.kind)
 
 
-def cc_integrate_by_coeffs(f, n: int, cache: SampleCache) -> QuadratureResult:
-    """Clenshaw-Curtis value assembled in coefficient space.
-
-    Computes the interpolant's Chebyshev coefficients and sums
-    a_k * 2/(1-k^2) over even k, halving the k = 0 and k = n ends.  Must
-    match the weight-space path to rounding error.
-    """
-    evals = cache.ensure(f, n)
-    a = cheb_coeffs(cache.values_at(n)).coeffs
-    k = np.arange(0, n + 1, 2)
-    terms = a[::2] * (2.0 / (1.0 - k.astype(float) ** 2))
-    terms[0] *= 0.5
-    terms[-1] *= 0.5
-    approx = float(np.sum(terms))
-    return QuadratureResult(approx, n, evals, RuleKind.CLENSHAW_CURTIS)
-
-
 def aliasing_error(n: int, m: int) -> float:
     """Exact Clenshaw-Curtis error on the degree-m Chebyshev polynomial.
 
@@ -199,51 +182,3 @@ def aliasing_error(n: int, m: int) -> float:
         j, two_r = q + 1, t - 2 * n
     assert j >= 1 and -n < two_r <= n
     return 2.0 / (1.0 - float(m) ** 2) - 2.0 / (1.0 - float(two_r) ** 2)
-
-
-def integrate_split(
-    f,
-    x0: float,
-    n: int,
-    method: str = "cc",
-    q: int = 1,
-    profiles=None,
-) -> float:
-    """Integrate over [-1, 1] split at an interior kink x0.
-
-    Each half is mapped affinely onto [-1, 1] and integrated with an
-    n-point rule; ``method`` is "cc" or "extrapolated".  The extrapolated
-    path needs one singularity profile per half (left, right), describing
-    the mapped integrand on that half.
-    """
-    if not -1.0 < x0 < 1.0:
-        raise DomainError(f"split point must lie strictly inside (-1, 1), got {x0}")
-    fn = _as_callable(f)
-    jac_left = (x0 + 1.0) / 2.0
-    jac_right = (1.0 - x0) / 2.0
-
-    def left(u: float) -> float:
-        return fn(jac_left * u + (x0 - 1.0) / 2.0)
-
-    def right(u: float) -> float:
-        return fn(jac_right * u + (x0 + 1.0) / 2.0)
-
-    if method == "cc":
-        rule = cc_rule_fast(n)
-        total = jac_left * integrate(rule, left).approx
-        total += jac_right * integrate(rule, right).approx
-        return total
-    if method == "extrapolated":
-        if profiles is None:
-            raise ConfigError("the extrapolated split needs (left, right) singularity profiles")
-        from .accel import richardson  # local import, accel depends on this module
-        from .singular import exponent_ladder
-
-        p_left, p_right = profiles
-        total = 0.0
-        for half, profile, jac in ((left, p_left, jac_left), (right, p_right, jac_right)):
-            ladder = exponent_ladder(profile, max(q, 1))
-            tableau = richardson(half, n, q, ladder)
-            total += jac * tableau.value
-        return total
-    raise ConfigError(f"unknown split method {method!r}; expected 'cc' or 'extrapolated'")

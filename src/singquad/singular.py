@@ -141,7 +141,7 @@ def _validate(p: SingularityProfile, use: str) -> None:
 
 @dataclass(frozen=True)
 class ExponentLadder:
-    """Strictly increasing, positive error-expansion exponents d_0 < d_1 < ...
+    """Strictly increasing, positive, finite error-expansion exponents d_0 < d_1 < ...
 
     Profile-derived ladders come from :func:`exponent_ladder` and satisfy
     d_0 = s + 1.
@@ -152,6 +152,8 @@ class ExponentLadder:
     def __post_init__(self):
         if len(self.d) < 1:
             raise ConfigError("exponent ladder must hold at least one element")
+        if not all(math.isfinite(v) for v in self.d):
+            raise ConfigError(f"ladder exponents must be finite, got {self.d}")
         for lo, hi in zip(self.d, self.d[1:]):
             if not hi > lo:
                 raise ConfigError(f"ladder exponents must increase strictly, got {self.d}")

@@ -1,6 +1,7 @@
 """Tests for Richardson extrapolation tableaus and decay-rate fitting."""
 
 import math
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from singquad.accel import (
 )
 from singquad.bench import corpus, corpus_function
 from singquad.engine import SampleCache, integrate
-from singquad.errors import ConfigError, InsufficientDataError, SizeError
+from singquad.errors import ConfigError, InputError, InsufficientDataError, SizeError
 from singquad.rules import cc_rule_fast
 from singquad.singular import ExponentLadder, exponent_ladder
 
@@ -203,6 +204,16 @@ def test_fit_rate_needs_three_distinct_sizes():
         fit_rate([(8, 1e-16), (16, 1e-16), (32, 1e-16)])
     with pytest.raises(InsufficientDataError):
         fit_rate([(8, 1e-2), (8, 2e-2), (16, 1e-3)])
+
+
+@pytest.mark.parametrize(
+    "bad", [(32, math.nan), (32, math.inf), (32, -math.inf), (0, 1e-3), (-8, 1e-2)]
+)
+def test_fit_rate_rejects_non_finite_errors_and_sizes_below_one(bad):
+    # a NaN must not be filed as noise with the fit going on around it
+    errors = [(16, 1e-3), bad, (64, 1.25e-4), (128, 1.5e-5)]
+    with pytest.raises(InputError, match=re.escape(repr(bad))):
+        fit_rate(errors)
 
 
 def test_default_noise_floor_scales_with_reference():

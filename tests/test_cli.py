@@ -1,15 +1,18 @@
 """Tests for the command-line front end: output shapes and exit codes."""
 
+import shlex
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from singquad.bench import CSV_HEADER
 from singquad.cli import cli, main
 from singquad.errors import NumericError, OracleError
+from singquad.rules import cc_rule_direct, cc_rule_fast
 
 
 def _run(capsys, argv):
@@ -30,16 +33,15 @@ def test_rule_prints_nodes_and_weights(capsys):
 
 
 def test_rule_fast_agrees_with_direct(capsys):
-    code, fast_out, _ = _run(capsys, ["rule", "--kind", "cc", "--n", "8", "--fast"])
+    # the printed rule is the memoized DCT rule that integrate uses
+    code, out, _ = _run(capsys, ["rule", "--kind", "cc", "--n", "8"])
     assert code == 0
-    code, direct_out, _ = _run(capsys, ["rule", "--kind", "cc", "--n", "8"])
-    assert code == 0
-
-    def weights(text):
-        line = next(l for l in text.splitlines() if l.startswith("weights:"))
-        return [float(v) for v in line.partition(":")[2].split(",")]
-
-    for a, b in zip(weights(fast_out), weights(direct_out)):
+    line = next(l for l in out.splitlines() if l.startswith("weights:"))
+    printed = [float(v) for v in line.partition(":")[2].split(",")]
+    assert printed == list(cc_rule_fast(8).weights)
+    direct = cc_rule_direct(8).weights
+    assert len(printed) == len(direct) == 9
+    for a, b in zip(printed, direct):
         assert abs(a - b) <= 1e-14
 
 
@@ -71,11 +73,6 @@ def test_integrate_reports_bookkeeping(capsys):
         capsys, ["integrate", "--fn", "F1a", "--n", "16", "--method", "gl"]
     )
     assert code == 0 and "evals: 16" in out
-
-    code, out, _ = _run(
-        capsys, ["integrate", "--fn", "F1a", "--n", "16", "--method", "coeffs"]
-    )
-    assert code == 0 and "method: coeffs" in out
 
 
 def test_coeffs_table(capsys):
@@ -111,6 +108,32 @@ def test_reproduce_writes_figure_csvs(capsys, tmp_path):
         assert lines[0] == CSV_HEADER
         sizes = {line.split(",")[0] for line in lines[1:]}
         assert sizes == {"8", "16", "32", "64"}
+
+
+@pytest.mark.parametrize("max_n", ["4", "0", "-3"])
+def test_reproduce_rejects_max_n_below_8_before_creating_the_directory(
+    capsys, tmp_path, max_n
+):
+    out_dir = tmp_path / "figures"
+    code, out, err = _run(
+        capsys, ["reproduce", "--figure", "1", "--out", str(out_dir), "--max-n", max_n]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --max-n must be >= 8, got {max_n}\n"
+    assert not out_dir.exists()
+
+
+def test_readme_command_line_block_runs(capsys, monkeypatch, tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "singquad" for argv in commands)
+    monkeypatch.chdir(tmp_path)  # run.csv and csv/ land here
+    for argv in commands:
+        code, _, err = _run(capsys, argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_experiment_config_file_streams_csv(capsys, tmp_path):
@@ -197,6 +220,10 @@ def test_usage_problems_exit_1(capsys):
     assert _run(capsys, ["frobnicate"])[0] == 1
     assert _run(capsys, ["rule", "--kind", "cc", "--n", "2", "--bogus"])[0] == 1
     assert _run(capsys, ["rule", "--kind", "cc"])[0] == 1  # missing --n
+    # one path per result: no alternative rule builder or integration path
+    assert _run(capsys, ["rule", "--kind", "cc", "--n", "8", "--fast"])[0] == 1
+    argv = ["integrate", "--fn", "F1a", "--n", "16", "--method", "coeffs"]
+    assert _run(capsys, argv)[0] == 1
 
 
 def test_configuration_problems_exit_1(capsys):

@@ -1,24 +1,18 @@
-"""Quadrature application, caching, aliasing identity, interval splitting."""
+"""Quadrature application, caching, aliasing identity, and accel's interval splitting."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import split_reference, supported_sizes
+from helpers import split_reference
+from singquad.accel import integrate_split
 from singquad.bench import corpus_function
-from singquad.engine import (
-    Integrand,
-    SampleCache,
-    aliasing_error,
-    cc_integrate_by_coeffs,
-    integrate,
-    integrate_split,
-)
+from singquad.engine import Integrand, SampleCache, aliasing_error, integrate
 from singquad.errors import ConfigError, DomainError, InputError, IntegrandError, SizeError
 from singquad.rules import RuleKind, cc_rule_direct, cc_rule_fast, gl_rule
 from singquad.singular import SingularityProfile
-from singquad.transform import ChebGrid, cheb_coeffs
+from singquad.transform import ChebGrid
 
 
 def brute_cc_error(n, m):
@@ -76,46 +70,6 @@ def test_non_finite_sample_raises_with_the_offending_node():
     with pytest.raises(IntegrandError, match="non-finite") as info:
         integrate(cc_rule_fast(4), bad)
     assert info.value.node == 1.0
-
-
-# ---------------------------------------------------------------------------
-# coefficient-space path
-
-
-def test_coeff_path_constant():
-    assert cc_integrate_by_coeffs(lambda x: 1.0, 4, SampleCache(4)).approx == pytest.approx(
-        2.0, abs=1e-15
-    )
-
-
-def test_coeff_path_x_squared():
-    got = cc_integrate_by_coeffs(lambda x: x * x, 4, SampleCache(4)).approx
-    assert abs(got - 2.0 / 3.0) <= 1e-15
-
-
-def test_coeff_path_equals_weight_path_on_a_degree8_polynomial():
-    rng = np.random.default_rng(7)
-    c = rng.uniform(-1.0, 1.0, 9)
-    f = lambda x: float(np.polyval(c, x))
-    by_coeff = cc_integrate_by_coeffs(f, 8, SampleCache(8)).approx
-    by_rule = integrate(cc_rule_fast(8), f).approx
-    assert abs(by_coeff - by_rule) <= 1e-13 * abs(by_rule)
-
-
-@pytest.mark.parametrize("f", [math.exp, lambda x: 1.0 / (2.0 + x)], ids=["exp", "rational"])
-def test_two_path_equivalence_on_smooth_integrands(f):
-    for n in supported_sizes(1024, minimum=2):
-        if n % 2:
-            continue
-        cache = SampleCache(n)
-        by_rule = integrate(cc_rule_fast(n), f, cache)
-        by_coeff = cc_integrate_by_coeffs(f, n, cache)
-        assert abs(by_coeff.approx - by_rule.approx) <= 1e-13 * abs(by_rule.approx), n
-
-
-def test_coeff_path_rejects_odd_sizes():
-    with pytest.raises(SizeError):
-        cc_integrate_by_coeffs(math.exp, 5, SampleCache(4))
 
 
 # ---------------------------------------------------------------------------
@@ -226,35 +180,19 @@ def test_aliasing_argument_validation():
 # ---------------------------------------------------------------------------
 # summation accuracy
 
-SUM_CASES = pytest.mark.parametrize(
+# At n = 65536 a left-to-right sum is off math.fsum by more than the bound:
+# 1.2e-14 (f = 1) and 7.2e-15 (F1a) relative over the weight-space products.
+@pytest.mark.parametrize(
     "f",
     [corpus_function("F1a").integrand, lambda x: math.cos(200.0 * x), lambda x: 1.0],
     ids=["F1a", "cos200x", "one"],
 )
-# At n = 65536 a left-to-right sum is off math.fsum by more than the bound:
-# 1.2e-14 (f = 1) and 7.2e-15 (F1a) relative over the weight-space
-# products, and 1.0e-13 (F1a) over the coefficient-space terms.
-SUM_SIZES = (4096, 65536)
-
-
-@SUM_CASES
 def test_weight_space_sum_tracks_fsum(f):
-    for n in SUM_SIZES:
+    for n in (4096, 65536):
         rule = cc_rule_fast(n)
         products = rule.weights * np.array([f(float(x)) for x in rule.nodes])
         err = abs(integrate(rule, f).approx - math.fsum(products))
         assert err <= 2e-15 * math.fsum(np.abs(products)), n
-
-
-@SUM_CASES
-def test_coefficient_space_sum_tracks_fsum(f):
-    for n in SUM_SIZES:
-        cache = SampleCache(n)
-        approx = cc_integrate_by_coeffs(f, n, cache).approx
-        k = np.arange(0, n + 1, 2)
-        terms = cheb_coeffs(cache.values_at(n)).coeffs[::2] * (2.0 / (1.0 - k**2.0))
-        terms[[0, -1]] *= 0.5
-        assert abs(approx - math.fsum(terms)) <= 2e-15 * math.fsum(np.abs(terms)), n
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +209,14 @@ def test_split_of_a_constant():
 
 def test_split_interior_root_singularity_against_reference():
     f = lambda x: math.sqrt(abs(x - 0.25))
-    got = integrate_split(f, 0.25, 256, method="cc")
+    got = integrate_split(f, 0.25, 256)
     assert abs(got - split_reference(f, 0.25)) <= 1e-5
 
 
 def test_split_with_extrapolation_reaches_near_machine_accuracy():
     f = lambda x: math.sqrt(abs(x - 0.25))
     profiles = (SingularityProfile(0.5, 0.0), SingularityProfile(0.0, 0.5))
-    got = integrate_split(f, 0.25, 64, method="extrapolated", q=2, profiles=profiles)
+    got = integrate_split(f, 0.25, 64, q=2, profiles=profiles)
     exact = (2.0 / 3.0) * (1.25**1.5 + 0.75**1.5)
     assert abs(got - exact) <= 1e-12
 
@@ -289,6 +227,4 @@ def test_split_argument_validation():
     with pytest.raises(DomainError):
         integrate_split(abs, -1.0, 8)
     with pytest.raises(ConfigError):
-        integrate_split(abs, 0.0, 8, method="extrapolated", q=1)  # profiles missing
-    with pytest.raises(ConfigError):
-        integrate_split(abs, 0.0, 8, method="simpson")
+        integrate_split(abs, 0.0, 8, q=1)  # profiles missing

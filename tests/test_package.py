@@ -31,7 +31,7 @@ def test_top_level_exports_resolve():
     for name in (
         "ChebGrid", "cheb_coeffs", "cheb_eval", "dct1",
         "cc_rule_direct", "cc_rule_fast", "gl_rule",
-        "integrate", "cc_integrate_by_coeffs", "integrate_split",
+        "integrate", "integrate_split",
         "aliasing_error", "SampleCache",
         "SingularityProfile", "classify_s", "exponent_ladder",
         "predict_coeff", "lemma_H", "faulhaber_sum", "bernoulli",
@@ -49,7 +49,7 @@ EXPORTS = [
     "Parity", "ProfileError", "QuadratureResult", "QuadratureRule", "RangeError",
     "RateEstimate", "RuleKind", "SampleCache", "SingquadError", "SingularityProfile",
     "SizeError", "aliasing_error", "bernoulli",
-    "cc_integrate_by_coeffs", "cc_rule_direct", "cc_rule_fast", "cheb_coeffs",
+    "cc_rule_direct", "cc_rule_fast", "cheb_coeffs",
     "cheb_eval", "classify_s", "coeff_asymptote", "corpus", "corpus_function", "dct1",
     "default_noise_floor", "exponent_ladder", "extrapolate_rows", "faulhaber_sum",
     "fit_rate", "gl_rule", "hatphi2_pi", "hatphi_pi", "hatpsi0", "hatpsi2_0",

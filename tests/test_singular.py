@@ -193,6 +193,14 @@ def test_custom_ladders():
         ExponentLadder((-1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "d", [(math.nan,), (math.inf,), (1.0, math.inf), (-math.inf, 1.0), (1.0, math.nan)]
+)
+def test_non_finite_ladder_exponents_are_rejected(d):
+    with pytest.raises(ConfigError, match="finite"):
+        ExponentLadder(d)
+
+
 # ---------------------------------------------------------------------------
 # coefficient predictions
 
