@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import SampleCache, _as_callable, integrate
+from .engine import Integrand, SampleCache, integrate
 from .errors import ConfigError, DomainError, InputError, InsufficientDataError
 from .rules import cc_rule_fast
 from .singular import ExponentLadder, exponent_ladder
@@ -114,7 +114,8 @@ def richardson(
 def integrate_split(f, x0: float, n: int, q: int = 0, profiles=None) -> float:
     """Integrate over [-1, 1] split at an interior kink x0.
 
-    Each half is mapped affinely onto [-1, 1].  Depth q = 0 applies the
+    Each half is mapped affinely onto [-1, 1] as an Integrand that samples
+    in batches when ``f`` is a vectorized Integrand.  Depth q = 0 applies the
     (n+1)-point Clenshaw-Curtis rule to each half; q >= 1 runs q
     extrapolation levels from base size n on each half and needs one
     singularity profile per half (left, right), describing the mapped
@@ -124,7 +125,7 @@ def integrate_split(f, x0: float, n: int, q: int = 0, profiles=None) -> float:
         raise DomainError(f"split point must lie strictly inside (-1, 1), got {x0}")
     if q != 0 and profiles is None:
         raise ConfigError(f"a split at depth q={q} needs (left, right) singularity profiles")
-    fn = _as_callable(f)
+    parent = f if isinstance(f, Integrand) else Integrand(f)
     p_left, p_right = profiles or (None, None)
     halves = (
         ((x0 + 1.0) / 2.0, (x0 - 1.0) / 2.0, p_left),
@@ -132,7 +133,10 @@ def integrate_split(f, x0: float, n: int, q: int = 0, profiles=None) -> float:
     )
     total = 0.0
     for jac, shift, profile in halves:
-        half = lambda u, jac=jac, shift=shift: fn(jac * u + shift)
+        half = Integrand(
+            lambda u, jac=jac, shift=shift: parent.eval(jac * u + shift),
+            vectorized=parent.vectorized,
+        )
         if q == 0:
             value = integrate(cc_rule_fast(n), half).approx
         else:

@@ -9,15 +9,18 @@ output is a deterministic list of records, optionally rendered to CSV.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .accel import richardson
-from .engine import Integrand, SampleCache, _as_callable, integrate
-from .errors import ConfigError, IntegrandError, OracleError, SingquadError
+from .engine import Integrand, SampleCache, _eval_nodes, integrate
+from .errors import ConfigError, OracleError, SingquadError
 from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, exponent_ladder
 
@@ -44,13 +47,48 @@ _ORACLE_T_MAX = 4.5
 _ORACLE_MAX_LEVELS = 12
 
 
+@functools.cache
+def _oracle_level(level: int) -> tuple:
+    """Abscissae and weights that refinement ``level`` adds to the oracle.
+
+    Level 0 holds t = 0, +-1, +-2, ...; level l >= 1 the odd multiples of
+    h = 2**-l, all within |t| <= 4.5, in the order t, -t.  Abscissae that
+    round to +/-1 are dropped.  They depend on the level alone, so each
+    level is built once per process.
+    """
+    h = 2.0**-level
+    ks = [0] if level == 0 else []
+    k = 1
+    while k * h <= _ORACLE_T_MAX:
+        ks += [k, -k]
+        k += 1 if level == 0 else 2
+    half_pi = math.pi / 2.0
+    xs, ws = [], []
+    for k in ks:
+        t = k * h
+        u = half_pi * math.sinh(t)
+        x = math.tanh(u)
+        if abs(x) < 1.0:
+            xs.append(x)
+            ws.append(half_pi * math.cosh(t) / math.cosh(u) ** 2)
+    x_arr, w_arr = np.array(xs), np.array(ws)
+    x_arr.flags.writeable = w_arr.flags.writeable = False
+    return x_arr, w_arr
+
+
+def _level_sum(f, level: int) -> float:
+    xs, ws = _oracle_level(level)
+    return float(np.dot(ws, _eval_nodes(f, xs)))
+
+
 def tanh_sinh(f, tol: Optional[float] = None) -> float:
     """Double-exponential reference value of the integral of f over [-1, 1].
 
     Maps x = tanh((pi/2) sinh t) and refines the trapezoid step until two
     consecutive levels agree to ``tol`` (relative plus absolute).  Nodes
     whose mapped abscissa rounds to +/-1 are dropped, so f is never
-    called at the endpoints.  ``tol`` defaults to 1e-12, overridable via
+    called at the endpoints.  Each level is one batch of nodes for
+    ``engine._eval_nodes``.  ``tol`` defaults to 1e-12, overridable via
     the SINGQUAD_ORACLE_TOL environment variable.  A non-finite integrand
     value raises IntegrandError naming its abscissa.
     """
@@ -62,37 +100,11 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
             raise ConfigError(f"{ORACLE_TOL_ENV} is not a number: {text!r}") from None
     if not (math.isfinite(tol) and tol >= 1e-14):
         raise ConfigError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
-    fn = _as_callable(f)
-    half_pi = math.pi / 2.0
-
-    def sample(t: float) -> float:
-        u = half_pi * math.sinh(t)
-        x = math.tanh(u)
-        if abs(x) >= 1.0:
-            return 0.0
-        w = half_pi * math.cosh(t) / math.cosh(u) ** 2
-        v = fn(x)
-        if not math.isfinite(v):
-            raise IntegrandError(
-                f"integrand returned non-finite value {v!r} at node {x!r}", node=x
-            )
-        return w * v
-
     h = 1.0
-    total = sample(0.0)
-    k = 1
-    while k * h <= _ORACLE_T_MAX:
-        total += sample(k * h) + sample(-k * h)
-        k += 1
-    value = h * total
-    for _ in range(_ORACLE_MAX_LEVELS):
+    value = h * _level_sum(f, 0)
+    for level in range(1, _ORACLE_MAX_LEVELS + 1):
         h /= 2.0
-        added = 0.0
-        k = 1
-        while k * h <= _ORACLE_T_MAX:
-            added += sample(k * h) + sample(-k * h)
-            k += 2
-        refined = value / 2.0 + h * added
+        refined = value / 2.0 + h * _level_sum(f, level)
         if abs(refined - value) < tol * (1.0 + abs(refined)):
             return refined
         value = refined
@@ -127,34 +139,40 @@ def _beta(a: float, b: float) -> float:
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
-def _f1a(x: float) -> float:
-    return (1.0 - x) ** 0.5 * math.exp(x)
+# The corpus integrands take a float or an ndarray of nodes (Integrand
+# vectorized=True).  np.where guards the s*log(s) factor at s = 0, where
+# its continuous limit is 0; errstate silences the log(0) it evaluates there.
+# np.float_power calls the C library's pow, as Python's ** on floats does;
+# numpy's own power loop can differ from it by an ulp, which arccos
+# magnifies by up to seven orders of magnitude where x**6 is near 1.
 
 
-def _f1b(x: float) -> float:
-    return (1.0 - x) ** 0.75 * (1.0 + x) ** 0.25 * math.exp(x)
+def _f1a(x):
+    return (1.0 - x) ** 0.5 * np.exp(x)
 
 
-def _f2a(x: float) -> float:
+def _f1b(x):
+    return np.float_power(1.0 - x, 0.75) * np.float_power(1.0 + x, 0.25) * np.exp(x)
+
+
+def _f2a(x):
     s = 1.0 - x
-    if s <= 0.0:
-        return 0.0  # continuous limit of s*log(s) at the right endpoint
-    return s * math.log(s) * math.cos(x + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > 0.0, s * np.log(s) * np.cos(x + 1.0), 0.0)
 
 
-def _f2b(x: float) -> float:
+def _f2b(x):
     s = 1.0 - x
-    if s <= 0.0:
-        return 0.0
-    return s * math.log(s) * (1.0 + x) ** 0.5 * math.cos(x + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > 0.0, s * np.log(s) * (1.0 + x) ** 0.5 * np.cos(x + 1.0), 0.0)
 
 
-def _f3a(x: float) -> float:
-    return math.acos(x * x)
+def _f3a(x):
+    return np.arccos(x * x)
 
 
-def _f3b(x: float) -> float:
-    return math.acos(x**6)
+def _f3b(x):
+    return np.arccos(np.float_power(x, 6))
 
 
 def _arccos_profile(m: int) -> SingularityProfile:
@@ -199,28 +217,28 @@ def _log_profile(beta: float) -> SingularityProfile:
 _CORPUS = (
     CorpusFunction(
         id="F1a",
-        integrand=Integrand(_f1a, _exp_profile(0.5, 0.0), label="F1a"),
+        integrand=Integrand(_f1a, _exp_profile(0.5, 0.0), label="F1a", vectorized=True),
     ),
     CorpusFunction(
         id="F1b",
-        integrand=Integrand(_f1b, _exp_profile(0.75, 0.25), label="F1b"),
+        integrand=Integrand(_f1b, _exp_profile(0.75, 0.25), label="F1b", vectorized=True),
     ),
     CorpusFunction(
         id="F2a",
-        integrand=Integrand(_f2a, _log_profile(0.0), label="F2a"),
+        integrand=Integrand(_f2a, _log_profile(0.0), label="F2a", vectorized=True),
     ),
     CorpusFunction(
         id="F2b",
-        integrand=Integrand(_f2b, _log_profile(0.5), label="F2b"),
+        integrand=Integrand(_f2b, _log_profile(0.5), label="F2b", vectorized=True),
     ),
     CorpusFunction(
         id="F3a",
-        integrand=Integrand(_f3a, _arccos_profile(1), label="F3a"),
+        integrand=Integrand(_f3a, _arccos_profile(1), label="F3a", vectorized=True),
         closed_form=_beta(0.75, 0.5),
     ),
     CorpusFunction(
         id="F3b",
-        integrand=Integrand(_f3b, _arccos_profile(3), label="F3b"),
+        integrand=Integrand(_f3b, _arccos_profile(3), label="F3b", vectorized=True),
         closed_form=_beta(7.0 / 12.0, 0.5),
     ),
 )
@@ -286,21 +304,26 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     Methods run independently: a failure at one size aborts that method's
     remaining sizes, with a RuntimeWarning naming the function, method,
-    size and error, but leaves the other methods untouched.  Records come
-    out in deterministic (method, n) order, methods in canonical order.
+    size and error, but leaves the other methods untouched.  The cc, r1
+    and r2 series read one sample cache along each doubling chain of
+    sizes and start a fresh cache at a size the current one cannot serve.
+    Records come out in deterministic (method, n) order, methods in
+    canonical order.
     """
     function = corpus_function(cfg.fn)
     f = function.integrand
     reference = function.reference_value()
     records: list = []
     for method in (m for m in METHOD_ORDER if m in cfg.methods):
-        cache = SampleCache(cfg.n_values[0])
+        cache = None
         n = cfg.n_values[0]
+        q = {"r1": 1, "r2": 2}.get(method, 0)
         try:
-            if method in ("r1", "r2"):
-                q = 1 if method == "r1" else 2
+            if q:
                 ladder = exponent_ladder(f.profile, q)
             for n in cfg.n_values:
+                if method != "gl" and (cache is None or not cache.serves(2**q * n)):
+                    cache = SampleCache(n)
                 if method == "cc":
                     result = integrate(cc_rule_fast(n), f, cache)
                     approx, evals = result.approx, result.evals_used

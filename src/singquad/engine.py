@@ -3,7 +3,9 @@
 The cache stores integrand samples on nested Chebyshev-Lobatto grids so
 that doubling the rule size only pays for the new odd-index nodes.  A
 rule's value is its weights against the samples, summed by numpy's
-pairwise ``np.sum``.
+pairwise ``np.sum``.  Every sample in the package is taken by
+``_eval_nodes``: one call per batch of nodes for a vectorized
+:class:`Integrand`, one call per node for anything else.
 """
 
 from __future__ import annotations
@@ -30,18 +32,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Integrand:
-    """A callable on [-1, 1] bundled with its optional singularity profile."""
+    """A callable on [-1, 1] bundled with its optional singularity profile.
 
-    eval: Callable[[float], float]
+    With ``vectorized=False`` (the default) ``eval`` maps one float to one
+    float and is called node by node.  With ``vectorized=True`` ``eval``
+    maps an ndarray of nodes to an ndarray of values of the same shape, and
+    every batch of nodes costs one call.  Calling the integrand on a scalar
+    returns a Python float either way.
+    """
+
+    eval: Callable
     profile: Optional[SingularityProfile] = None
     label: str = ""
+    vectorized: bool = False
 
     def __post_init__(self):
         if not callable(self.eval):
             raise InputError("integrand eval must be callable")
+        if not isinstance(self.vectorized, bool):
+            raise InputError(f"vectorized must be a bool, got {self.vectorized!r}")
 
     def __call__(self, x: float) -> float:
-        return self.eval(x)
+        return float(self.eval(x))
 
 
 @dataclass(frozen=True)
@@ -59,18 +71,38 @@ class QuadratureResult:
     kind: RuleKind
 
 
-def _as_callable(f):
-    return f.eval if isinstance(f, Integrand) else f
+def _non_finite(v, x) -> IntegrandError:
+    return IntegrandError(
+        f"integrand returned non-finite value {float(v)!r} at node {float(x)!r}", node=float(x)
+    )
 
 
-def _eval_nodes(fn, xs) -> np.ndarray:
+def _eval_nodes(f, xs) -> np.ndarray:
+    """Values of ``f`` at the nodes ``xs``: the one sampling routine.
+
+    A vectorized :class:`Integrand` takes all nodes in one call; any other
+    callable is called once per node, in node order.  Either way the first
+    non-finite value raises IntegrandError naming its node.
+    """
+    if isinstance(f, Integrand):
+        if f.vectorized:
+            xs = np.asarray(xs, dtype=float)
+            out = np.asarray(f.eval(xs), dtype=float)
+            if out.shape != xs.shape:
+                raise InputError(
+                    f"vectorized integrand returned shape {out.shape} for nodes of shape {xs.shape}"
+                )
+            finite = np.isfinite(out)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise _non_finite(out[i], xs[i])
+            return out
+        f = f.eval
     out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        v = float(fn(float(x)))
+    for i, x in enumerate(np.asarray(xs, dtype=float).tolist()):
+        v = float(f(x))
         if not math.isfinite(v):
-            raise IntegrandError(
-                f"integrand returned non-finite value {v!r} at node {x!r}", node=float(x)
-            )
+            raise _non_finite(v, x)
         out[i] = v
     return out
 
@@ -83,9 +115,9 @@ class SampleCache:
     stride view into the same array, so nested reads are index-exact and
     never rely on floating-point node comparisons.  The cache is the one
     place that decides which sizes nested sampling serves: even sizes
-    n >= 2 that divide a doubling of base_n; others raise SizeError.  One
-    cache serves one integrand: the first ``ensure`` binds it, and a later
-    call with a different callable raises ConfigError.
+    n >= 2 that divide a doubling of base_n (:meth:`serves`); others raise
+    SizeError.  One cache serves one integrand: the first ``ensure`` binds
+    it, and a later call with a different integrand raises ConfigError.
     """
 
     def __init__(self, base_n: int):
@@ -95,40 +127,43 @@ class SampleCache:
         self.levels = 0
         self.eval_count = 0
         self._values: Optional[np.ndarray] = None
-        self._fn = None
+        self._f = None
 
     @property
     def finest_n(self) -> int:
         return self.base_n * 2**self.levels
 
-    def _grow_target(self, n: int) -> int:
+    def _grow_target(self, n: int) -> Optional[int]:
         target = self.finest_n if self._values is not None else self.base_n
         while target < n:
             target *= 2
-        if target % n:
-            raise SizeError(f"size {n} does not divide a doubling of base {self.base_n}")
-        return target
+        return None if target % n else target
+
+    def serves(self, n: int) -> bool:
+        """Whether :meth:`ensure` can make size ``n`` available."""
+        return n >= 2 and n % 2 == 0 and self._grow_target(n) is not None
 
     def ensure(self, f, n: int) -> int:
         """Make size ``n`` available; return the number of new evaluations."""
         if n < 2 or n % 2:
             raise SizeError(f"cached rule sizes must be even and >= 2, got {n}")
-        fn = _as_callable(f)
         # == rather than is: bound methods are rebuilt on every attribute access.
-        if self._values is not None and fn != self._fn:
+        if self._values is not None and f is not self._f and f != self._f:
             raise ConfigError("sample cache already holds samples of a different integrand")
         target = self._grow_target(n)
+        if target is None:
+            raise SizeError(f"size {n} does not divide a doubling of base {self.base_n}")
         before = self.eval_count
         if self._values is None:
-            self._values = _eval_nodes(fn, ChebGrid(self.base_n).nodes)
-            self._fn = fn
+            self._values = _eval_nodes(f, ChebGrid(self.base_n).nodes)
+            self._f = f
             self.eval_count += self.base_n + 1
         while self.finest_n < target:
             doubled = 2 * self.finest_n
             grid = ChebGrid(doubled)
             new = np.empty(doubled + 1)
             new[::2] = self._values
-            new[1::2] = _eval_nodes(fn, grid.nodes[1::2])
+            new[1::2] = _eval_nodes(f, grid.nodes[1::2])
             self._values = new
             self.levels += 1
             self.eval_count += doubled // 2
@@ -149,14 +184,13 @@ def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> Q
     may use one; the rule size must then divide a doubling of the cache
     base.
     """
-    fn = _as_callable(f)
     if cache is not None:
         if rule.kind is not RuleKind.CLENSHAW_CURTIS:
             raise ConfigError("sample caches apply only to Clenshaw-Curtis rules")
-        evals = cache.ensure(fn, rule.n)
+        evals = cache.ensure(f, rule.n)
         values = cache.values_at(rule.n)
     else:
-        values = _eval_nodes(fn, rule.nodes)
+        values = _eval_nodes(f, rule.nodes)
         evals = rule.npoints
     approx = float(np.sum(rule.weights * values))
     return QuadratureResult(approx, rule.n, evals, rule.kind)

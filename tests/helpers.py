@@ -91,6 +91,61 @@ def dct1_direct_longdouble(values):
     return out
 
 
+# The corpus integrands in scalar ``math`` form, as singquad.bench defined
+# them before they moved to numpy: the reference for the numpy forms.
+
+
+def f1a_math(x):
+    return (1.0 - x) ** 0.5 * math.exp(x)
+
+
+def f1b_math(x):
+    return (1.0 - x) ** 0.75 * (1.0 + x) ** 0.25 * math.exp(x)
+
+
+def f2a_math(x):
+    s = 1.0 - x
+    if s <= 0.0:
+        return 0.0  # continuous limit of s*log(s) at the right endpoint
+    return s * math.log(s) * math.cos(x + 1.0)
+
+
+def f2b_math(x):
+    s = 1.0 - x
+    if s <= 0.0:
+        return 0.0
+    return s * math.log(s) * (1.0 + x) ** 0.5 * math.cos(x + 1.0)
+
+
+def f3a_math(x):
+    return math.acos(x * x)
+
+
+def f3b_math(x):
+    return math.acos(x**6)
+
+
+CORPUS_MATH = {
+    "F1a": f1a_math,
+    "F1b": f1b_math,
+    "F2a": f2a_math,
+    "F2b": f2b_math,
+    "F3a": f3a_math,
+    "F3b": f3b_math,
+}
+
+
+def tanh_sinh_abscissae(level):
+    """Every abscissa tanh((pi/2) sinh t) at t = k * 2**-level, |t| <= 4.5, below 1 in size."""
+    h = 2.0**-level
+    out = []
+    for k in range(-int(4.5 / h), int(4.5 / h) + 1):
+        x = math.tanh(math.pi / 2.0 * math.sinh(k * h))
+        if abs(x) < 1.0:
+            out.append(x)
+    return np.array(out)
+
+
 def sample_on_grid(fn, n):
     """Samples of a scalar callable on the n+1 Chebyshev-Lobatto nodes."""
     return np.array([fn(x) for x in ChebGrid(n).nodes])

@@ -1,13 +1,18 @@
 """Tests for the reference oracle, the benchmark corpus, and experiment runs."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from helpers import CORPUS_MATH, tanh_sinh_abscissae
+from singquad import bench
 from singquad.bench import (
     CSV_HEADER,
     METHOD_ORDER,
     ConvergenceRecord,
+    CorpusFunction,
     ExperimentConfig,
     corpus,
     corpus_function,
@@ -19,7 +24,9 @@ from singquad.bench import (
     write_csv,
 )
 from singquad.cli import cli
+from singquad.engine import Integrand
 from singquad.errors import ConfigError, IntegrandError, OracleError
+from singquad.transform import ChebGrid
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +97,20 @@ def test_oracle_raises_on_the_first_non_finite_value():
     assert str(caught.value.node) in str(caught.value)
 
 
+def test_oracle_samples_one_batch_per_level():
+    calls = []
+
+    def square(x):
+        calls.append(x.size)
+        return x * x
+
+    value = tanh_sinh(Integrand(square, vectorized=True), 1e-12)
+    assert value == tanh_sinh(lambda x: x * x, 1e-12)
+    assert abs(value - 2.0 / 3.0) <= 1e-14
+    assert len(calls) >= 2 and calls[0] == tanh_sinh_abscissae(0).size
+    assert sum(calls) == tanh_sinh_abscissae(len(calls) - 1).size
+
+
 def test_oracle_self_consistency_across_tolerances():
     for fn in corpus():
         tight = tanh_sinh(fn.integrand, 1e-12)
@@ -157,6 +178,29 @@ def test_corpus_pointwise_values():
     assert math.isfinite(corpus_function("F2a").integrand(1.0 - 1e-12))
 
 
+@pytest.mark.parametrize("fn_id", list(CORPUS_MATH))
+def test_numpy_corpus_agrees_with_the_math_forms_within_4_ulp(fn_id):
+    f = corpus_function(fn_id).integrand
+    assert f.vectorized
+    for xs in (ChebGrid(4096).nodes, tanh_sinh_abscissae(12)):
+        got = f.eval(xs)
+        want = np.array([CORPUS_MATH[fn_id](x) for x in xs.tolist()])
+        assert got.shape == xs.shape
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        assert np.max(ulps) <= 4.0, (fn_id, xs.size, float(np.max(ulps)))
+
+
+def test_corpus_endpoint_values_are_exact_and_raise_no_warning():
+    ends = np.array([-1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn_id, reference in CORPUS_MATH.items():
+            f = corpus_function(fn_id).integrand
+            want = [reference(-1.0).hex(), reference(1.0).hex()]
+            assert [float(v).hex() for v in f.eval(ends)] == want, fn_id
+            assert [f(-1.0).hex(), f(1.0).hex()] == want, fn_id
+
+
 def test_stored_closed_forms_match_frozen_references():
     """B(3/4, 1/2) and B(7/12, 1/2) from mpmath.beta at 40 digits, rounded to 20."""
     frozen = {"F3a": 2.3962804694711844149, "F3b": 2.8275143349194304644}
@@ -215,17 +259,38 @@ def test_records_come_out_in_canonical_order():
         )
 
 
-def test_failing_series_warns_and_keeps_the_other_methods():
-    # the cc series shares one SampleCache(16), which cannot serve n = 28
+def test_failing_series_warns_and_keeps_the_other_methods(monkeypatch):
+    # F1a, but NaN at one node that only the cc grid of size 28 holds
+    f1a = corpus_function("F1a")
+    bad = float(ChebGrid(28).nodes[1])
+    spoiled = Integrand(
+        lambda x: np.where(x == bad, np.nan, f1a.integrand.eval(x)),
+        f1a.integrand.profile,
+        vectorized=True,
+    )
+    monkeypatch.setitem(bench._BY_ID, "F1a", CorpusFunction("F1a", spoiled))
     cfg = ExperimentConfig(fn="F1a", methods=("cc", "gl"), n_values=(16, 28))
     with pytest.warns(RuntimeWarning) as caught:
         records = run_experiment(cfg)
     assert [(r.method, r.n) for r in records] == [("cc", 16), ("gl", 16), ("gl", 28)]
     assert len(caught) == 1
     message = str(caught[0].message)
-    cause = "size 28 does not divide a doubling of base 16"
-    for part in ("F1a", "cc", "n=28", "SizeError", cause):
+    cause = f"non-finite value nan at node {bad!r}"
+    for part in ("F1a", "cc", "n=28", "IntegrandError", cause):
         assert part in message, part
+
+
+def test_a_size_off_the_doubling_chain_starts_a_fresh_cache():
+    cfg = ExperimentConfig(fn="F1a", methods=("cc", "r1", "r2"), n_values=(16, 28, 56))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_experiment(cfg)
+    # 28 starts each chain afresh at full cost; 56 then extends it
+    assert [(r.method, r.n, r.evals) for r in records] == [
+        ("cc", 16, 17), ("cc", 28, 29), ("cc", 56, 28),
+        ("r1", 16, 33), ("r1", 28, 57), ("r1", 56, 56),
+        ("r2", 16, 65), ("r2", 28, 113), ("r2", 56, 112),
+    ]
 
 
 def test_shared_cache_eval_accounting():

@@ -11,7 +11,7 @@ import pytest
 
 from singquad.bench import CSV_HEADER
 from singquad.cli import cli, main
-from singquad.errors import NumericError, OracleError
+from singquad.errors import NumericError, OracleError, SizeError
 from singquad.rules import cc_rule_direct, cc_rule_fast
 
 
@@ -159,8 +159,28 @@ def test_experiment_flags_override_the_config(capsys, tmp_path):
     assert lines[1].startswith("16,gl,")
 
 
-def test_dropped_series_warns_on_stderr(capsys):
-    # the cc series' SampleCache(16) cannot serve n = 28; gl samples afresh
+def test_an_off_chain_size_gets_its_own_cc_row(capsys):
+    code, out, err = _run(
+        capsys, ["experiment", "--fn", "F1a", "--methods", "cc,gl", "--n", "16,28"]
+    )
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("16", "cc"), ("28", "cc"), ("16", "gl"), ("28", "gl")]
+    assert rows[1][4] == "29"
+
+
+def _cc_rule_without_28(monkeypatch):
+    def rule(n):
+        if n == 28:
+            raise SizeError("no rule of size 28")
+        return cc_rule_fast(n)
+
+    monkeypatch.setattr("singquad.bench.cc_rule_fast", rule)
+
+
+def test_dropped_series_warns_on_stderr(capsys, monkeypatch):
+    _cc_rule_without_28(monkeypatch)  # gl samples afresh
     code, out, err = _run(
         capsys, ["experiment", "--fn", "F1a", "--methods", "cc,gl", "--n", "16,28"]
     )
@@ -173,18 +193,16 @@ def test_dropped_series_warns_on_stderr(capsys):
     assert err.startswith("warning: F1a: method cc stopped at n=28: SizeError: ")
 
 
-def test_dropped_series_under_warnings_as_errors_is_one_error_line(capsys):
+def test_dropped_series_under_warnings_as_errors_is_one_error_line(capsys, monkeypatch):
     # as under python -W error: the warning ends the run, exit code of a SizeError
+    _cc_rule_without_28(monkeypatch)
     argv = ["experiment", "--fn", "F1a", "--methods", "cc,gl", "--n", "16,28"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err == (
-        "error: F1a: method cc stopped at n=28: SizeError: "
-        "size 28 does not divide a doubling of base 16\n"
-    )
+    assert err == "error: F1a: method cc stopped at n=28: SizeError: no rule of size 28\n"
 
 
 def test_dropped_series_under_warnings_as_errors_keeps_the_numeric_exit_code(
@@ -278,6 +296,20 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "singquad" in proc.stdout
+
+
+def test_reproduce_under_warnings_as_errors_is_silent(tmp_path):
+    # the numpy corpus guards log(0) at x = 1; a numpy RuntimeWarning would
+    # end this run with an error line
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "singquad.cli", "reproduce", "--figure", "2",
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["figure2_F2a.csv", "figure2_F2b.csv"]
 
 
 def test_console_script():

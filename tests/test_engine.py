@@ -73,6 +73,85 @@ def test_non_finite_sample_raises_with_the_offending_node():
 
 
 # ---------------------------------------------------------------------------
+# batch (vectorized) integrands
+
+
+class BatchCounter:
+    """A vectorized integrand body that records the size of every batch."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.batches = []
+
+    def __call__(self, x):
+        self.batches.append(np.size(x))
+        return self.fn(x)
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_integrand_call_on_a_scalar_returns_a_python_float(vectorized):
+    f = Integrand(lambda x: np.where(x > 0.0, x, 0.0), vectorized=vectorized)
+    assert type(f(0.5)) is float and f(0.5) == 0.5
+    assert type(f(-1)) is float and f(-1) == 0.0
+
+
+@pytest.mark.parametrize("flag", [1, 0, "yes", None, np.bool_(True)])
+def test_integrand_rejects_a_non_bool_vectorized_flag(flag):
+    with pytest.raises(InputError, match="vectorized"):
+        Integrand(math.exp, vectorized=flag)
+
+
+def test_vectorized_eval_of_the_wrong_shape_is_rejected():
+    f = Integrand(lambda x: np.sum(x), vectorized=True)
+    with pytest.raises(InputError) as info:
+        integrate(cc_rule_fast(8), f)
+    assert "(9,)" in str(info.value) and "()" in str(info.value)
+
+
+def test_vectorized_integrand_takes_one_call_per_batch():
+    poly = lambda x: 3.0 * x * x + x + 1.0  # the same arithmetic on floats and arrays
+    body = BatchCounter(poly)
+    f = Integrand(body, vectorized=True)
+    assert integrate(cc_rule_fast(16), f).approx == integrate(cc_rule_fast(16), poly).approx
+    assert integrate(gl_rule(16), f).approx == integrate(gl_rule(16), poly).approx
+    assert body.batches == [17, 16]
+    body.batches.clear()
+    cache = SampleCache(16)
+    results = [integrate(cc_rule_fast(n), f, cache) for n in (16, 32, 64)]
+    assert body.batches == [17, 16, 32]
+    assert [r.evals_used for r in results] == [17, 16, 32]
+
+
+def test_vectorized_non_finite_value_names_the_first_node_in_node_order():
+    rule = cc_rule_fast(8)
+    spiky = lambda x: np.where(x > 0.5, np.nan, x)
+    with pytest.raises(IntegrandError) as batch:
+        integrate(rule, Integrand(spiky, vectorized=True))
+    with pytest.raises(IntegrandError) as scalar:
+        integrate(rule, lambda x: math.nan if x > 0.5 else x)
+    first = next(float(x) for x in rule.nodes if x > 0.5)
+    assert batch.value.node == scalar.value.node == first
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_cache_refuses_a_second_integrand_object():
+    cache = SampleCache(8)
+    integrate(cc_rule_fast(8), corpus_function("F1a").integrand, cache)
+    with pytest.raises(ConfigError):
+        integrate(cc_rule_fast(16), corpus_function("F1b").integrand, cache)
+    assert integrate(cc_rule_fast(16), corpus_function("F1a").integrand, cache).evals_used == 8
+
+
+def test_cache_serves_exactly_the_sizes_ensure_accepts():
+    cache = SampleCache(8)
+    for n in (2, 4, 8, 16, 24, 64, 12, 6, 3, 0):
+        served = cache.serves(n)
+        assert served == (n in (2, 4, 8, 16, 64)), n
+    cache.ensure(math.exp, 64)
+    assert cache.serves(32) and cache.serves(128) and not cache.serves(96)
+
+
+# ---------------------------------------------------------------------------
 # sample cache
 
 
@@ -219,6 +298,14 @@ def test_split_with_extrapolation_reaches_near_machine_accuracy():
     got = integrate_split(f, 0.25, 64, q=2, profiles=profiles)
     exact = (2.0 / 3.0) * (1.25**1.5 + 0.75**1.5)
     assert abs(got - exact) <= 1e-12
+
+
+def test_split_of_a_vectorized_integrand_samples_each_half_in_one_batch():
+    poly = lambda x: x * x * x - 2.0 * x + 0.5
+    body = BatchCounter(poly)
+    got = integrate_split(Integrand(body, vectorized=True), 0.3, 8)
+    assert got == integrate_split(poly, 0.3, 8)
+    assert body.batches == [9, 9]
 
 
 def test_split_argument_validation():
