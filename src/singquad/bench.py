@@ -57,15 +57,11 @@ def _oracle_level(level: int) -> tuple:
     level is built once per process.
     """
     h = 2.0**-level
-    ks = [0] if level == 0 else []
-    k = 1
-    while k * h <= _ORACLE_T_MAX:
-        ks += [k, -k]
-        k += 1 if level == 0 else 2
+    ks = range(1, int(_ORACLE_T_MAX / h) + 1, 1 if level == 0 else 2)
+    ts = ([0.0] if level == 0 else []) + [sign * k * h for k in ks for sign in (1, -1)]
     half_pi = math.pi / 2.0
     xs, ws = [], []
-    for k in ks:
-        t = k * h
+    for t in ts:
         u = half_pi * math.sinh(t)
         x = math.tanh(u)
         if abs(x) < 1.0:

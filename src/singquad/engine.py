@@ -84,9 +84,9 @@ def _eval_nodes(f, xs) -> np.ndarray:
     callable is called once per node, in node order.  Either way the first
     non-finite value raises IntegrandError naming its node.
     """
+    xs = np.asarray(xs, dtype=float)
     if isinstance(f, Integrand):
         if f.vectorized:
-            xs = np.asarray(xs, dtype=float)
             out = np.asarray(f.eval(xs), dtype=float)
             if out.shape != xs.shape:
                 raise InputError(
@@ -99,7 +99,7 @@ def _eval_nodes(f, xs) -> np.ndarray:
             return out
         f = f.eval
     out = np.empty(len(xs))
-    for i, x in enumerate(np.asarray(xs, dtype=float).tolist()):
+    for i, x in enumerate(xs.tolist()):
         v = float(f(x))
         if not math.isfinite(v):
             raise _non_finite(v, x)
