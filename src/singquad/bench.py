@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .accel import richardson
-from .engine import Integrand, SampleCache, _eval_nodes, integrate
+from .engine import Integrand, SampleCache, integrate
 from .errors import ConfigError, OracleError, SingquadError
 from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, exponent_ladder
@@ -72,9 +72,9 @@ def _oracle_level(level: int) -> tuple:
     return x_arr, w_arr
 
 
-def _level_sum(f, level: int) -> float:
+def _level_sum(f: Integrand, level: int) -> float:
     xs, ws = _oracle_level(level)
-    return float(np.dot(ws, _eval_nodes(f, xs)))
+    return float(np.dot(ws, f.sample(xs)))
 
 
 def tanh_sinh(f, tol: Optional[float] = None) -> float:
@@ -84,9 +84,12 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
     consecutive levels agree to ``tol`` (relative plus absolute).  Nodes
     whose mapped abscissa rounds to +/-1 are dropped, so f is never
     called at the endpoints.  Each level is one batch of nodes for
-    ``engine._eval_nodes``.  ``tol`` defaults to 1e-12, overridable via
-    the SINGQUAD_ORACLE_TOL environment variable.  A non-finite integrand
-    value raises IntegrandError naming its abscissa.
+    ``Integrand.sample``; a plain callable is sampled node by node.  The
+    oracle bypasses ``engine._eval_nodes``, so its samples stay out of the
+    quadrature sample count that perfbench traces there.  ``tol``
+    defaults to 1e-12, overridable via the SINGQUAD_ORACLE_TOL environment
+    variable.  A non-finite integrand value raises IntegrandError naming
+    its abscissa.
     """
     if tol is None:
         text = os.environ.get(ORACLE_TOL_ENV, "1e-12")
@@ -96,6 +99,8 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
             raise ConfigError(f"{ORACLE_TOL_ENV} is not a number: {text!r}") from None
     if not (math.isfinite(tol) and tol >= 1e-14):
         raise ConfigError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
+    if not isinstance(f, Integrand):
+        f = Integrand(f)
     h = 1.0
     value = h * _level_sum(f, 0)
     for level in range(1, _ORACLE_MAX_LEVELS + 1):
@@ -302,7 +307,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     remaining sizes, with a RuntimeWarning naming the function, method,
     size and error, but leaves the other methods untouched.  The cc, r1
     and r2 series read one sample cache along each doubling chain of
-    sizes and start a fresh cache at a size the current one cannot serve.
+    sizes: a size goes to the first of the series' caches that serves it,
+    or to a fresh cache when none does.
     Records come out in deterministic (method, n) order, methods in
     canonical order.
     """
@@ -311,15 +317,18 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     reference = function.reference_value()
     records: list = []
     for method in (m for m in METHOD_ORDER if m in cfg.methods):
-        cache = None
+        caches: list = []
         n = cfg.n_values[0]
         q = {"r1": 1, "r2": 2}.get(method, 0)
         try:
             if q:
                 ladder = exponent_ladder(f.profile, q)
             for n in cfg.n_values:
-                if method != "gl" and (cache is None or not cache.serves(2**q * n)):
-                    cache = SampleCache(n)
+                if method != "gl":
+                    cache = next((c for c in caches if c.serves(2**q * n)), None)
+                    if cache is None:
+                        cache = SampleCache(n)
+                        caches.append(cache)
                 if method == "cc":
                     result = integrate(cc_rule_fast(n), f, cache)
                     approx, evals = result.approx, result.evals_used

@@ -4,8 +4,11 @@ The cache stores integrand samples on nested Chebyshev-Lobatto grids so
 that doubling the rule size only pays for the new odd-index nodes.  A
 rule's value is its weights against the samples, summed by numpy's
 pairwise ``np.sum``.  Every sample in the package is taken by
-``_eval_nodes``: one call per batch of nodes for a vectorized
-:class:`Integrand`, one call per node for anything else.
+:meth:`Integrand.sample`: one call per batch of nodes for a vectorized
+integrand, one call per node for anything else.  Rules, caches and the
+CLI reach it through ``_eval_nodes``, which perfbench traces as
+``engine.sample``; the tanh-sinh oracle calls it directly, so that span
+counts quadrature samples only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ __all__ = [
     "integrate",
     "aliasing_error",
 ]
+
+
+def _non_finite(v, x) -> IntegrandError:
+    return IntegrandError(
+        f"integrand returned non-finite value {float(v)!r} at node {float(x)!r}", node=float(x)
+    )
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,34 @@ class Integrand:
     def __call__(self, x: float) -> float:
         return float(self.eval(x))
 
+    def sample(self, xs) -> np.ndarray:
+        """Values at the nodes ``xs``: the one sampling routine.
+
+        A vectorized integrand takes all nodes in one call; any other is
+        called once per node, in node order.  Either way the first
+        non-finite value raises IntegrandError naming its node.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if self.vectorized:
+            out = np.asarray(self.eval(xs), dtype=float)
+            if out.shape != xs.shape:
+                raise InputError(
+                    f"vectorized integrand returned shape {out.shape} for nodes of shape {xs.shape}"
+                )
+            finite = np.isfinite(out)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise _non_finite(out[i], xs[i])
+            return out
+        fn = self.eval
+        out = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            v = float(fn(float(x)))
+            if not math.isfinite(v):
+                raise _non_finite(v, x)
+            out[i] = v
+        return out
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -71,40 +108,9 @@ class QuadratureResult:
     kind: RuleKind
 
 
-def _non_finite(v, x) -> IntegrandError:
-    return IntegrandError(
-        f"integrand returned non-finite value {float(v)!r} at node {float(x)!r}", node=float(x)
-    )
-
-
 def _eval_nodes(f, xs) -> np.ndarray:
-    """Values of ``f`` at the nodes ``xs``: the one sampling routine.
-
-    A vectorized :class:`Integrand` takes all nodes in one call; any other
-    callable is called once per node, in node order.  Either way the first
-    non-finite value raises IntegrandError naming its node.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if isinstance(f, Integrand):
-        if f.vectorized:
-            out = np.asarray(f.eval(xs), dtype=float)
-            if out.shape != xs.shape:
-                raise InputError(
-                    f"vectorized integrand returned shape {out.shape} for nodes of shape {xs.shape}"
-                )
-            finite = np.isfinite(out)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise _non_finite(out[i], xs[i])
-            return out
-        f = f.eval
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs.tolist()):
-        v = float(f(x))
-        if not math.isfinite(v):
-            raise _non_finite(v, x)
-        out[i] = v
-    return out
+    """Values of ``f``, an :class:`Integrand` or a plain callable, at ``xs``."""
+    return (f if isinstance(f, Integrand) else Integrand(f)).sample(xs)
 
 
 class SampleCache:

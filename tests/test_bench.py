@@ -1,6 +1,7 @@
 """Tests for the reference oracle, the benchmark corpus, and experiment runs."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -109,6 +110,29 @@ def test_oracle_samples_one_batch_per_level():
     assert abs(value - 2.0 / 3.0) <= 1e-14
     assert len(calls) >= 2 and calls[0] == tanh_sinh_abscissae(0).size
     assert sum(calls) == tanh_sinh_abscissae(len(calls) - 1).size
+
+
+def test_quadrature_samples_alone_pass_through_eval_nodes(monkeypatch):
+    # perfbench counts the samples taken through engine._eval_nodes, in
+    # every singquad namespace that holds it, and equates them with the
+    # records' evals; the oracle's samples are counted apart from them.
+    from singquad import engine
+
+    original, sizes = engine._eval_nodes, []
+
+    def counting(f, xs):
+        out = original(f, xs)
+        sizes.append(out.size)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("singquad"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    records = run_experiment(ExperimentConfig(fn="F2a", n_values=(8, 16, 32)))
+    assert len(records) == 12
+    assert sum(sizes) == sum(r.evals for r in records)
 
 
 def test_oracle_self_consistency_across_tolerances():
@@ -280,17 +304,29 @@ def test_failing_series_warns_and_keeps_the_other_methods(monkeypatch):
         assert part in message, part
 
 
-def test_a_size_off_the_doubling_chain_starts_a_fresh_cache():
-    cfg = ExperimentConfig(fn="F1a", methods=("cc", "r1", "r2"), n_values=(16, 28, 56))
+@pytest.mark.parametrize(
+    "n_values, expected",
+    [
+        # 28 starts each chain afresh at full cost; 56 then extends it
+        ((16, 28, 56), [
+            ("cc", 16, 17), ("cc", 28, 29), ("cc", 56, 28),
+            ("r1", 16, 33), ("r1", 28, 57), ("r1", 56, 56),
+            ("r2", 16, 65), ("r2", 28, 113), ("r2", 56, 112),
+        ]),
+        # 12 starts a second chain; 16 goes back to the first one
+        ((8, 12, 16), [
+            ("cc", 8, 9), ("cc", 12, 13), ("cc", 16, 8),
+            ("r1", 8, 17), ("r1", 12, 25), ("r1", 16, 16),
+            ("r2", 8, 33), ("r2", 12, 49), ("r2", 16, 32),
+        ]),
+    ],
+)
+def test_a_size_off_the_doubling_chain_starts_a_fresh_cache(n_values, expected):
+    cfg = ExperimentConfig(fn="F1a", methods=("cc", "r1", "r2"), n_values=n_values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = run_experiment(cfg)
-    # 28 starts each chain afresh at full cost; 56 then extends it
-    assert [(r.method, r.n, r.evals) for r in records] == [
-        ("cc", 16, 17), ("cc", 28, 29), ("cc", 56, 28),
-        ("r1", 16, 33), ("r1", 28, 57), ("r1", 56, 56),
-        ("r2", 16, 65), ("r2", 28, 113), ("r2", 56, 112),
-    ]
+    assert [(r.method, r.n, r.evals) for r in records] == expected
 
 
 def test_shared_cache_eval_accounting():
