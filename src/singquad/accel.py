@@ -21,7 +21,7 @@ import numpy as np
 from .engine import Integrand, SampleCache, integrate
 from .errors import ConfigError, DomainError, InputError, InsufficientDataError
 from .rules import cc_rule_fast
-from .singular import ExponentLadder, exponent_ladder
+from .singular import ExponentLadder, SingularityProfile, exponent_ladder
 
 __all__ = [
     "ExtrapolationTableau",
@@ -84,10 +84,10 @@ def richardson(
 ) -> ExtrapolationTableau:
     """Run q extrapolation levels above Clenshaw-Curtis at sizes base_n..2**q*base_n.
 
-    The ladder must supply at least q exponents.  A fresh cache on
+    The ladder must supply at least q exponents; depth 0 is plain
+    Clenshaw-Curtis, for which an empty ladder will do.  A fresh cache on
     ``base_n`` is created unless one is passed in; the cache decides which
-    sizes it serves (even sizes that divide a doubling of its base) and
-    raises SizeError for the rest.
+    sizes it serves and raises SizeError for the rest.
     """
     if q < 0:
         raise ConfigError(f"extrapolation depth must be >= 0, got {q}")
@@ -116,17 +116,20 @@ def integrate_split(f, x0: float, n: int, q: int = 0, profiles=None) -> float:
 
     Each half is mapped affinely onto [-1, 1] as an Integrand that samples
     in batches when ``f`` is a vectorized Integrand.  Depth q = 0 applies the
-    (n+1)-point Clenshaw-Curtis rule to each half; q >= 1 runs q
-    extrapolation levels from base size n on each half and needs one
-    singularity profile per half (left, right), describing the mapped
-    integrand on that half.
+    (n+1)-point Clenshaw-Curtis rule to each half and ignores ``profiles``;
+    q >= 1 runs q extrapolation levels from base size n on each half and
+    needs one singularity profile per half (left, right), describing the
+    mapped integrand on that half; anything else there raises ConfigError.
     """
     if not -1.0 < x0 < 1.0:
         raise DomainError(f"split point must lie strictly inside (-1, 1), got {x0}")
-    if q != 0 and profiles is None:
-        raise ConfigError(f"a split at depth q={q} needs (left, right) singularity profiles")
+    pair = isinstance(profiles, (tuple, list)) and len(profiles) == 2
+    if q != 0 and not (pair and all(isinstance(p, SingularityProfile) for p in profiles)):
+        raise ConfigError(
+            f"a split at depth q={q} needs (left, right) singularity profiles, got {profiles!r}"
+        )
     parent = f if isinstance(f, Integrand) else Integrand(f)
-    p_left, p_right = profiles or (None, None)
+    p_left, p_right = profiles if q else (None, None)
     halves = (
         ((x0 + 1.0) / 2.0, (x0 - 1.0) / 2.0, p_left),
         ((1.0 - x0) / 2.0, (x0 + 1.0) / 2.0, p_right),

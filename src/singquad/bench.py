@@ -21,7 +21,7 @@ import numpy as np
 from .accel import richardson
 from .engine import Integrand, SampleCache, integrate
 from .errors import ConfigError, OracleError, SingquadError
-from .rules import cc_rule_fast, gl_rule
+from .rules import gl_rule
 from .singular import SingularityProfile, exponent_ladder
 
 __all__ = [
@@ -278,6 +278,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHOD_ORDER]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; expected a subset of {METHOD_ORDER}")
+        if not self.methods:
+            raise ConfigError("methods must be non-empty")
         if len(self.methods) != len(set(self.methods)):
             raise ConfigError(f"duplicate methods in {self.methods}")
         if not self.n_values:
@@ -306,9 +308,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     Methods run independently: a failure at one size aborts that method's
     remaining sizes, with a RuntimeWarning naming the function, method,
     size and error, but leaves the other methods untouched.  The cc, r1
-    and r2 series read one sample cache along each doubling chain of
-    sizes: a size goes to the first of the series' caches that serves it,
-    or to a fresh cache when none does.
+    and r2 series are :func:`richardson` at depth 0, 1 and 2 (depth 0 is
+    plain Clenshaw-Curtis) and read one sample cache along each doubling
+    chain of sizes: a size goes to the first of the series' caches that
+    serves it, or to a fresh cache when none does.
     Records come out in deterministic (method, n) order, methods in
     canonical order.
     """
@@ -321,21 +324,16 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         n = cfg.n_values[0]
         q = {"r1": 1, "r2": 2}.get(method, 0)
         try:
-            if q:
-                ladder = exponent_ladder(f.profile, q)
+            ladder = exponent_ladder(f.profile, q) if q else ()
             for n in cfg.n_values:
-                if method != "gl":
+                if method == "gl":
+                    result = integrate(gl_rule(n), f)
+                    approx, evals = result.approx, result.evals_used
+                else:
                     cache = next((c for c in caches if c.serves(2**q * n)), None)
                     if cache is None:
                         cache = SampleCache(n)
                         caches.append(cache)
-                if method == "cc":
-                    result = integrate(cc_rule_fast(n), f, cache)
-                    approx, evals = result.approx, result.evals_used
-                elif method == "gl":
-                    result = integrate(gl_rule(n), f)
-                    approx, evals = result.approx, result.evals_used
-                else:
                     tableau = richardson(f, n, q, ladder, cache)
                     approx, evals = tableau.value, tableau.evals_used
                 records.append(

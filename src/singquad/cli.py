@@ -216,10 +216,7 @@ def cli(argv=None) -> int:
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2
-    except SingquadError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (SingquadError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

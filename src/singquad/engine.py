@@ -121,58 +121,61 @@ class SampleCache:
     stride view into the same array, so nested reads are index-exact and
     never rely on floating-point node comparisons.  The cache is the one
     place that decides which sizes nested sampling serves: even sizes
-    n >= 2 that divide a doubling of base_n (:meth:`serves`); others raise
-    SizeError.  One cache serves one integrand: the first ``ensure`` binds
-    it, and a later call with a different integrand raises ConfigError.
+    n >= 2 that divide the first doubling of N at or above n
+    (:meth:`serves`); :meth:`ensure` raises SizeError for the rest.  One
+    cache serves one integrand: the first ``ensure`` binds it, and a later
+    call with a different integrand raises ConfigError.
     """
 
     def __init__(self, base_n: int):
         if base_n < 2 or base_n % 2:
             raise SizeError(f"cache base size must be even and >= 2, got {base_n}")
         self.base_n = int(base_n)
-        self.levels = 0
-        self.eval_count = 0
         self._values: Optional[np.ndarray] = None
         self._f = None
 
     @property
     def finest_n(self) -> int:
-        return self.base_n * 2**self.levels
+        return self.base_n if self._values is None else len(self._values) - 1
 
-    def _grow_target(self, n: int) -> Optional[int]:
-        target = self.finest_n if self._values is not None else self.base_n
+    @property
+    def eval_count(self) -> int:
+        """Evaluations made so far: one per stored sample."""
+        return 0 if self._values is None else len(self._values)
+
+    def _target(self, n: int) -> Optional[int]:
+        """The finest size that serving ``n`` needs, or None if the cache cannot serve it."""
+        if n < 2 or n % 2:
+            return None
+        target = self.finest_n
         while target < n:
             target *= 2
         return None if target % n else target
 
     def serves(self, n: int) -> bool:
         """Whether :meth:`ensure` can make size ``n`` available."""
-        return n >= 2 and n % 2 == 0 and self._grow_target(n) is not None
+        return self._target(n) is not None
 
     def ensure(self, f, n: int) -> int:
         """Make size ``n`` available; return the number of new evaluations."""
-        if n < 2 or n % 2:
-            raise SizeError(f"cached rule sizes must be even and >= 2, got {n}")
+        target = self._target(n)
+        if target is None:
+            raise SizeError(
+                f"size {n} is not an even size >= 2 dividing a doubling of {self.finest_n}"
+            )
         # == rather than is: bound methods are rebuilt on every attribute access.
         if self._values is not None and f is not self._f and f != self._f:
             raise ConfigError("sample cache already holds samples of a different integrand")
-        target = self._grow_target(n)
-        if target is None:
-            raise SizeError(f"size {n} does not divide a doubling of base {self.base_n}")
         before = self.eval_count
         if self._values is None:
             self._values = _eval_nodes(f, ChebGrid(self.base_n).nodes)
             self._f = f
-            self.eval_count += self.base_n + 1
         while self.finest_n < target:
             doubled = 2 * self.finest_n
-            grid = ChebGrid(doubled)
             new = np.empty(doubled + 1)
             new[::2] = self._values
-            new[1::2] = _eval_nodes(f, grid.nodes[1::2])
+            new[1::2] = _eval_nodes(f, np.cos(ChebGrid(doubled).angles[1::2]))
             self._values = new
-            self.levels += 1
-            self.eval_count += doubled // 2
         return self.eval_count - before
 
     def values_at(self, n: int) -> np.ndarray:
@@ -187,8 +190,7 @@ def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> Q
     """Apply ``rule`` to ``f``, optionally reading samples through ``cache``.
 
     Caches hold Chebyshev-Lobatto samples, so only Clenshaw-Curtis rules
-    may use one; the rule size must then divide a doubling of the cache
-    base.
+    may use one, at the sizes the cache serves.
     """
     if cache is not None:
         if rule.kind is not RuleKind.CLENSHAW_CURTIS:

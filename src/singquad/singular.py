@@ -56,11 +56,10 @@ class SingularityProfile:
     marks an extra log(1 - x) factor.  The endpoint data of the smooth
     factor g are supplied in closed form by the caller.
 
-    The checked constructor enforces the quadrature-side constraints:
-    alpha, beta >= 0, not both integers without the log factor, and a
-    positive integer alpha when the log factor is present.  The
-    coefficient asymptotics remain valid down to alpha, beta > -1/2; that
-    wider range is reachable only through :meth:`unchecked`.
+    The constructor enforces finite fields, alpha, beta >= 0, not both
+    integers without the log factor, and a positive integer alpha when the
+    log factor is present.  The dataclass is frozen, so every profile has
+    passed these checks and the functions below take it as valid.
     """
 
     alpha: float
@@ -72,47 +71,14 @@ class SingularityProfile:
     g_prime_at_minus1: float = 0.0
 
     def __post_init__(self):
-        _validate(self, "quadrature")
-
-    @classmethod
-    def unchecked(
-        cls,
-        alpha: float,
-        beta: float,
-        log_left: bool = False,
-        g_at_1: float = 1.0,
-        g_at_minus1: float = 1.0,
-        g_prime_at_1: float = 0.0,
-        g_prime_at_minus1: float = 0.0,
-    ) -> "SingularityProfile":
-        """Build a profile without the quadrature-range validation.
-
-        Intended for the asymptotic operations, which accept
-        alpha, beta > -1/2.  No constraints are checked here.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "log_left", bool(log_left))
-        object.__setattr__(self, "g_at_1", float(g_at_1))
-        object.__setattr__(self, "g_at_minus1", float(g_at_minus1))
-        object.__setattr__(self, "g_prime_at_1", float(g_prime_at_1))
-        object.__setattr__(self, "g_prime_at_minus1", float(g_prime_at_minus1))
-        return self
+        _validate(self)
 
 
 def _is_integer(x: float) -> bool:
     return float(x).is_integer()
 
 
-def _validate(p: SingularityProfile, use: str) -> None:
-    """Check ``p`` for one use; ``use`` picks the admissible exponent range.
-
-    "quadrature": alpha, beta >= 0.  "asymptotic": alpha, beta > -1/2.
-    "endpoint": alpha, beta > -1/2, and two integer exponents are allowed:
-    they merely mean a smooth integrand, which has no singular branch but
-    perfectly good endpoint auxiliary values.
-    """
+def _validate(p: SingularityProfile) -> None:
     for name in ("alpha", "beta", "g_at_1", "g_at_minus1", "g_prime_at_1", "g_prime_at_minus1"):
         if not math.isfinite(getattr(p, name)):
             raise ProfileError(f"profile field {name} must be finite")
@@ -120,18 +86,13 @@ def _validate(p: SingularityProfile, use: str) -> None:
         raise ProfileError(
             f"the log(1-x) factor requires a positive integer alpha, got alpha={p.alpha}"
         )
-    if use != "endpoint" and not p.log_left and _is_integer(p.alpha) and _is_integer(p.beta):
+    if not p.log_left and _is_integer(p.alpha) and _is_integer(p.beta):
         raise ProfileError(
             f"alpha={p.alpha} and beta={p.beta} must not both be integers without a log factor"
         )
-    if use == "quadrature":
-        if p.alpha < 0 or p.beta < 0:
-            raise ProfileError(
-                f"quadrature profiles need alpha, beta >= 0, got ({p.alpha}, {p.beta})"
-            )
-    elif p.alpha <= -0.5 or p.beta <= -0.5:
+    if p.alpha < 0 or p.beta < 0:
         raise ProfileError(
-            f"coefficient asymptotics need alpha, beta > -1/2, got ({p.alpha}, {p.beta})"
+            f"quadrature profiles need alpha, beta >= 0, got ({p.alpha}, {p.beta})"
         )
 
 
@@ -170,49 +131,37 @@ class ExponentLadder:
         return iter(self.d)
 
 
+def _branch_exponents(p: SingularityProfile) -> tuple:
+    """Exponents of the endpoint branches that survive in the Chebyshev coefficients.
+
+    The right branch has exponent alpha, the left branch beta.  An integer
+    beta drops the left branch; an integer alpha drops the right branch
+    unless the profile has the log factor.  At least one branch survives.
+    """
+    right = (p.alpha,) if p.log_left or not _is_integer(p.alpha) else ()
+    left = () if _is_integer(p.beta) else (p.beta,)
+    return right + left
+
+
 def classify_s(p: SingularityProfile) -> float:
     """Smoothness index s of a profiled integrand: its coefficients decay as O(n^{-s-1}).
 
-    Algebraic case: s = 2*min(alpha, beta) when neither exponent is an
-    integer, 2*alpha when beta is an integer, 2*beta when alpha is.  With
-    the log factor: s = 2*alpha when beta is an integer, 2*min(alpha, beta)
-    otherwise.
+    s is twice the smallest exponent among the surviving endpoint branches.
     """
-    _validate(p, "quadrature")
-    a, b = p.alpha, p.beta
-    if p.log_left:
-        s = 2.0 * a if _is_integer(b) else 2.0 * min(a, b)
-    elif _is_integer(b):
-        s = 2.0 * a
-    elif _is_integer(a):
-        s = 2.0 * b
-    else:
-        s = 2.0 * min(a, b)
-    return s
+    return 2.0 * min(_branch_exponents(p))
 
 
 def exponent_ladder(p: SingularityProfile, count: int) -> ExponentLadder:
     """First ``count`` exponents of the error-expansion ladder of ``p``.
 
-    The ladder is {2*alpha + 2j + 1} and/or {2*beta + 2j + 1} depending on
-    which endpoint exponents are integers; when both families contribute
-    they are merged, sorted, and deduplicated.
+    Each surviving endpoint branch with exponent e contributes the family
+    {2*e + 2j + 1}; the families are merged, sorted, and deduplicated.
     """
     if count < 1:
         raise ConfigError(f"ladder length must be >= 1, got {count}")
-    _validate(p, "quadrature")
-    a, b = p.alpha, p.beta
-    fam_a = [2.0 * a + 2.0 * j + 1.0 for j in range(count)]
-    fam_b = [2.0 * b + 2.0 * j + 1.0 for j in range(count)]
-    if p.log_left:
-        values = fam_a if _is_integer(b) else fam_a + fam_b
-    elif _is_integer(b):
-        values = fam_a
-    elif _is_integer(a):
-        values = fam_b
-    else:
-        values = fam_a + fam_b
-    values.sort()
+    values = sorted(
+        2.0 * e + 2.0 * j + 1.0 for e in _branch_exponents(p) for j in range(count)
+    )
     merged: list[float] = []
     for v in values:
         if not merged or v - merged[-1] > 1e-12 * (1.0 + abs(v)):
@@ -284,7 +233,6 @@ def coeff_asymptote(p: SingularityProfile) -> CoeffAsymptote:
     with non-integer beta the dominant branch is selected by the sign of
     alpha - beta (the left-endpoint branch carries an extra log 2).
     """
-    _validate(p, "asymptotic")
     a, b = p.alpha, p.beta
     terms: list[AsymptoteTerm] = []
     if not p.log_left:
@@ -331,26 +279,22 @@ def predict_coeff(p: SingularityProfile, n: int) -> float:
 
 def hatpsi0(p: SingularityProfile) -> float:
     """Value of the right-endpoint auxiliary function at angle 0: g(1)/2**(2*alpha)."""
-    _validate(p, "endpoint")
     return p.g_at_1 / 2.0 ** (2.0 * p.alpha)
 
 
 def hatphi_pi(p: SingularityProfile) -> float:
     """Value of the left-endpoint auxiliary function at angle pi: g(-1)/2**(2*beta)."""
-    _validate(p, "endpoint")
     return p.g_at_minus1 / 2.0 ** (2.0 * p.beta)
 
 
 def hatpsi2_0(p: SingularityProfile) -> float:
     """Second derivative of the right-endpoint auxiliary function at angle 0."""
-    _validate(p, "endpoint")
     a, b = p.alpha, p.beta
     return -p.g_at_1 / 2.0 ** (2.0 * a + 1.0) * (a / 3.0 + b) - p.g_prime_at_1 / 2.0 ** (2.0 * a)
 
 
 def hatphi2_pi(p: SingularityProfile) -> float:
     """Second derivative of the left-endpoint auxiliary function at angle pi."""
-    _validate(p, "endpoint")
     a, b = p.alpha, p.beta
     return -p.g_at_minus1 / 2.0 ** (2.0 * b + 1.0) * (a + b / 3.0) + p.g_prime_at_minus1 / 2.0 ** (
         2.0 * b

@@ -126,10 +126,14 @@ def cheb_eval(coeffs, x):
 
     Raises
     ------
+    InputError
+        If the coefficient array is empty.
     DomainError
         If any point lies outside [-1, 1] or is NaN.
     """
     a = np.asarray(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs, dtype=float)
+    if a.size == 0:
+        raise InputError("cheb_eval needs at least one coefficient, got an empty coefficient array")
     xv = np.asarray(x, dtype=float)
     # Phrased so that NaN fails the test as well.
     if not np.all(np.abs(xv) <= 1.0):

@@ -344,11 +344,10 @@ def test_shared_cache_eval_accounting():
     assert [r.evals for r in run_experiment(cfg)] == [16, 32]
 
 
-def test_empty_method_list_yields_no_records():
-    cfg = ExperimentConfig(fn="F1a", methods=(), n_values=(16,))
-    records = run_experiment(cfg)
-    assert records == []
-    assert render_csv(records) == CSV_HEADER + "\n"
+def test_empty_method_list_is_rejected():
+    with pytest.raises(ConfigError, match="methods must be non-empty"):
+        ExperimentConfig(fn="F1a", methods=(), n_values=(16,))
+    assert render_csv([]) == CSV_HEADER + "\n"
 
 
 def test_run_experiment_writes_csv_when_asked(tmp_path):

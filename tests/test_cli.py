@@ -159,6 +159,22 @@ def test_experiment_flags_override_the_config(capsys, tmp_path):
     assert lines[1].startswith("16,gl,")
 
 
+def test_empty_methods_flag_exits_1(capsys):
+    code, out, err = _run(capsys, ["experiment", "--fn", "F1a", "--methods", ",", "--n", "16"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: methods must be non-empty\n"
+
+
+def test_empty_methods_config_line_exits_1(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("fn = F1a\nmethods =\nn = 16\n", encoding="ascii")
+    code, out, err = _run(capsys, ["experiment", "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: methods must be non-empty\n"
+
+
 def test_an_off_chain_size_gets_its_own_cc_row(capsys):
     code, out, err = _run(
         capsys, ["experiment", "--fn", "F1a", "--methods", "cc,gl", "--n", "16,28"]
@@ -176,7 +192,7 @@ def _cc_rule_without_28(monkeypatch):
             raise SizeError("no rule of size 28")
         return cc_rule_fast(n)
 
-    monkeypatch.setattr("singquad.bench.cc_rule_fast", rule)
+    monkeypatch.setattr("singquad.accel.cc_rule_fast", rule)
 
 
 def test_dropped_series_warns_on_stderr(capsys, monkeypatch):

@@ -181,6 +181,22 @@ def test_cached_and_fresh_results_are_identical():
     assert integrate(cc_rule_fast(16), f, cache).approx == integrate(cc_rule_fast(16), f).approx
 
 
+@pytest.mark.parametrize("base", [8, 12, 28])
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_nested_samples_equal_fresh_samples_bit_for_bit(base, vectorized):
+    # Each doubling takes cosines only at the new odd angles.  The identity
+    # integrand returns its nodes, so any ulp of difference from the
+    # doubled grid's own nodes shows.
+    f = Integrand(np.copy if vectorized else float, vectorized=vectorized)
+    cache = SampleCache(base)
+    for k in range(4):
+        cache.ensure(f, base * 2**k)
+    for k in range(4):
+        nodes = ChebGrid(base * 2**k).nodes
+        assert np.array_equal(cache.values_at(base * 2**k), f.sample(nodes))
+        assert np.array_equal(f.sample(nodes), nodes)
+
+
 def test_cache_size_validation():
     with pytest.raises(SizeError):
         SampleCache(3)
@@ -315,3 +331,13 @@ def test_split_argument_validation():
         integrate_split(abs, -1.0, 8)
     with pytest.raises(ConfigError):
         integrate_split(abs, 0.0, 8, q=1)  # profiles missing
+
+
+@pytest.mark.parametrize(
+    "profiles", [(SingularityProfile(0.5, 0.0), None), (SingularityProfile(0.5, 0.0),)]
+)
+def test_split_rejects_anything_but_a_pair_of_profiles(profiles):
+    with pytest.raises(ConfigError, match="singularity profiles"):
+        integrate_split(abs, 0.0, 8, q=1, profiles=profiles)
+    # depth 0 reads no profiles
+    assert integrate_split(abs, 0.0, 8, profiles=profiles) == integrate_split(abs, 0.0, 8)

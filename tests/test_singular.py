@@ -154,6 +154,8 @@ def test_ladder_examples():
     assert exponent_ladder(SingularityProfile(0.5, 0.0), 3).d == (2.0, 4.0, 6.0)
     assert exponent_ladder(SingularityProfile(0.75, 0.25), 4).d == (1.5, 2.5, 3.5, 4.5)
     assert exponent_ladder(SingularityProfile(1.0, 0.0, log_left=True), 3).d == (3.0, 5.0, 7.0)
+    # an integer alpha without the log factor drops the right branch
+    assert exponent_ladder(SingularityProfile(1.0, 0.25), 3).d == (1.5, 3.5, 5.5)
 
 
 def test_ladder_merges_and_deduplicates_families():
@@ -297,9 +299,8 @@ def test_measured_log_coeff_matches_raw_prediction():
 
 
 def test_hat_values_for_trivial_profile():
-    p = SingularityProfile.unchecked(0.0, 0.0)
-    assert hatpsi0(p) == 1.0
-    assert hatphi_pi(p) == 1.0
+    assert hatpsi0(SingularityProfile(0.0, 0.5)) == 1.0
+    assert hatphi_pi(SingularityProfile(0.5, 0.0)) == 1.0
 
 
 def test_hat_values_closed_forms():
@@ -319,25 +320,3 @@ def test_hat_second_derivatives_match_finite_differences(alpha, beta):
     phi2 = fd_second_derivative(lambda u: phi_hat(p, math.exp, math.pi - u), hatphi_pi(p))
     assert abs(psi2 / hatpsi2_0(p) - 1.0) <= 1e-5
     assert abs(phi2 / hatphi2_pi(p) - 1.0) <= 1e-5
-
-
-# ---------------------------------------------------------------------------
-# the unchecked constructor and validation boundaries
-
-
-def test_unchecked_profile_reaches_the_wider_asymptotic_range():
-    p = SingularityProfile.unchecked(-0.25, 0.0)
-    value = predict_coeff(p, 100)
-    assert math.isfinite(value) and value != 0.0
-
-
-def test_asymptotics_reject_exponents_at_or_below_minus_half():
-    with pytest.raises(ProfileError):
-        predict_coeff(SingularityProfile.unchecked(-0.6, 0.0), 100)
-    with pytest.raises(ProfileError):
-        coeff_asymptote(SingularityProfile.unchecked(-0.5, 0.0))
-
-
-def test_quadrature_side_classification_rejects_unchecked_negatives():
-    with pytest.raises(ProfileError):
-        classify_s(SingularityProfile.unchecked(-0.25, 0.0))

@@ -188,6 +188,11 @@ def test_half_resolution_coeff_matches_folded_asymptote():
 # cheb_eval
 
 
+def test_eval_rejects_an_empty_coefficient_array():
+    with pytest.raises(InputError, match="empty coefficient array"):
+        cheb_eval([], 0.5)
+
+
 def test_eval_basis_polynomial_at_right_endpoint():
     coeffs = np.zeros(6)  # index 3 is interior, so no convention halving
     coeffs[3] = 1.0
