@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +36,6 @@ __all__ = [
 
 CSV_HEADER = "n,method,approx,abs_error,evals"
 METHOD_ORDER = ("cc", "gl", "r1", "r2")
-ORACLE_TOL_ENV = "SINGQUAD_ORACLE_TOL"
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +75,7 @@ def _level_sum(f: Integrand, level: int) -> float:
     return float(np.dot(ws, f.sample(xs)))
 
 
-def tanh_sinh(f, tol: Optional[float] = None) -> float:
+def tanh_sinh(f, tol: float = 1e-12) -> float:
     """Double-exponential reference value of the integral of f over [-1, 1].
 
     Maps x = tanh((pi/2) sinh t) and refines the trapezoid step until two
@@ -86,17 +84,10 @@ def tanh_sinh(f, tol: Optional[float] = None) -> float:
     called at the endpoints.  Each level is one batch of nodes for
     ``Integrand.sample``; a plain callable is sampled node by node.  The
     oracle bypasses ``engine._eval_nodes``, so its samples stay out of the
-    quadrature sample count that perfbench traces there.  ``tol``
-    defaults to 1e-12, overridable via the SINGQUAD_ORACLE_TOL environment
-    variable.  A non-finite integrand value raises IntegrandError naming
-    its abscissa.
+    quadrature sample count that perfbench traces there.  ``tol`` must be
+    finite and >= 1e-14.  A non-finite integrand value raises
+    IntegrandError naming its abscissa.
     """
-    if tol is None:
-        text = os.environ.get(ORACLE_TOL_ENV, "1e-12")
-        try:
-            tol = float(text)
-        except ValueError:
-            raise ConfigError(f"{ORACLE_TOL_ENV} is not a number: {text!r}") from None
     if not (math.isfinite(tol) and tol >= 1e-14):
         raise ConfigError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
     if not isinstance(f, Integrand):
@@ -393,11 +384,16 @@ def parse_n_spec(text: str) -> tuple:
         raise ConfigError(f"cannot parse size list {text!r}: {exc}") from None
 
 
+def parse_methods(text: str) -> tuple:
+    """Method lists: comma-separated names; blanks around and between commas are dropped."""
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
 def parse_config_text(text: str) -> dict:
     """Parse 'key = value' experiment lines into config keyword arguments.
 
-    Keys: fn, methods (comma-separated), n (see :func:`parse_n_spec`),
-    out.  Blank lines and '#' comments are skipped.
+    Keys: fn, methods (see :func:`parse_methods`), n (see
+    :func:`parse_n_spec`), out.  Blank lines and '#' comments are skipped.
     """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -411,7 +407,7 @@ def parse_config_text(text: str) -> dict:
         if key == "fn":
             out["fn"] = value
         elif key == "methods":
-            out["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
+            out["methods"] = parse_methods(value)
         elif key == "n":
             out["n_values"] = parse_n_spec(value)
         elif key == "out":

@@ -126,7 +126,7 @@ def _cmd_experiment(args) -> int:
     if args.fn is not None:
         kwargs["fn"] = args.fn
     if args.methods is not None:
-        kwargs["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        kwargs["methods"] = bench.parse_methods(args.methods)
     if args.n is not None:
         kwargs["n_values"] = bench.parse_n_spec(args.n)
     if args.out is not None:

@@ -181,8 +181,10 @@ class SampleCache:
     def values_at(self, n: int) -> np.ndarray:
         if self._values is None:
             raise SizeError("cache is empty; call ensure() first")
-        if self.finest_n % n:
-            raise SizeError(f"size {n} does not divide the cached finest size {self.finest_n}")
+        if n < 1 or self.finest_n % n:
+            raise SizeError(
+                f"size {n} is not a positive divisor of the cached finest size {self.finest_n}"
+            )
         return self._values[:: self.finest_n // n]
 
 

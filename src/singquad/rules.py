@@ -15,7 +15,6 @@ from .transform import ChebGrid, dct1
 __all__ = [
     "RuleKind",
     "QuadratureRule",
-    "cc_rule_direct",
     "cc_rule_fast",
     "gl_rule",
 ]
@@ -57,29 +56,6 @@ class QuadratureRule:
     @property
     def npoints(self) -> int:
         return len(self.nodes)
-
-
-def cc_rule_direct(n: int) -> QuadratureRule:
-    """Clenshaw-Curtis rule by direct O(n^2) evaluation of the weight formula.
-
-    w_j = (4 delta_j / n) * sum_{k=0}^{floor(n/2)} delta_{2k} cos(2jk*pi/n) / (1 - 4k^2),
-    where delta halves the terms at the ends of its index range (j in
-    {0, n}; 2k in {0, n}).  Serves as the reference oracle for
-    cc_rule_fast.
-    """
-    if n < 1:
-        raise SizeError(f"rule size must be >= 1, got {n}")
-    k = np.arange(n // 2 + 1)
-    term = 1.0 / (1.0 - 4.0 * k * k)
-    term[0] *= 0.5
-    if n % 2 == 0:
-        term[-1] *= 0.5  # 2k = n happens only for even n
-    j = np.arange(n + 1)
-    cosines = np.cos(np.outer(j, k) * (2.0 * np.pi / n))
-    w = (4.0 / n) * (cosines @ term)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return QuadratureRule(RuleKind.CLENSHAW_CURTIS, n, ChebGrid(n).nodes, w)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

@@ -14,7 +14,6 @@ expansion.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +25,6 @@ from .errors import ConfigError, DomainError, ProfileError, RangeError
 __all__ = [
     "SingularityProfile",
     "ExponentLadder",
-    "Parity",
-    "AsymptoteTerm",
-    "CoeffAsymptote",
     "classify_s",
     "exponent_ladder",
     "coeff_asymptote",
@@ -173,52 +169,13 @@ def exponent_ladder(p: SingularityProfile, count: int) -> ExponentLadder:
 # coefficient asymptotics
 
 
-class Parity(enum.Enum):
-    CONSTANT_SIGN = "constant-sign"
-    ALTERNATING = "alternating"
-
-
-@dataclass(frozen=True)
-class AsymptoteTerm:
-    """One term amplitude * n**(-exponent), optionally alternating in sign."""
-
-    amplitude: float
-    exponent: float
-    parity: Parity
-
-    def at(self, n: int) -> float:
-        value = self.amplitude * float(n) ** (-self.exponent)
-        if self.parity is Parity.ALTERNATING and n % 2 == 0:
-            value = -value
-        return value
-
-
-@dataclass(frozen=True)
-class CoeffAsymptote:
-    """Leading terms of the large-n Chebyshev coefficient asymptote."""
-
-    terms: tuple
-
-    def at(self, n: int) -> float:
-        return sum(t.at(n) for t in self.terms)
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x), exactly zero at integers."""
-    if _is_integer(x):
-        return 0.0
-    return math.sin(math.pi * x)
-
-
-def _cospi(x: float) -> float:
-    """cos(pi*x), exactly +/-1 at integers."""
-    if _is_integer(x):
-        return -1.0 if int(x) % 2 else 1.0
-    return math.cos(math.pi * x)
-
-
-def coeff_asymptote(p: SingularityProfile) -> CoeffAsymptote:
+def coeff_asymptote(p: SingularityProfile) -> tuple:
     """Leading-order coefficient asymptote of the profile.
+
+    Returns ``(amplitude, exponent, alternating)`` triples sorted by
+    exponent, zero amplitudes dropped.  A triple contributes
+    amplitude * n**(-exponent) to the n-th coefficient, with its sign
+    flipped at even n when ``alternating`` is set.
 
     Algebraic case: the right-endpoint branch
     -2**(beta-alpha+1) g(1) sin(alpha*pi) Gamma(2*alpha+1) / (pi n**(2*alpha+1))
@@ -234,43 +191,30 @@ def coeff_asymptote(p: SingularityProfile) -> CoeffAsymptote:
     alpha - beta (the left-endpoint branch carries an extra log 2).
     """
     a, b = p.alpha, p.beta
-    terms: list[AsymptoteTerm] = []
-    if not p.log_left:
-        amp_right = (
-            -(2.0 ** (b - a + 1.0)) * p.g_at_1 * _sinpi(a) * math.gamma(2.0 * a + 1.0) / math.pi
-        )
-        amp_left = (
-            2.0 ** (a - b + 1.0) * p.g_at_minus1 * _sinpi(b) * math.gamma(2.0 * b + 1.0) / math.pi
-        )
-        if amp_right != 0.0:
-            terms.append(AsymptoteTerm(amp_right, 2.0 * a + 1.0, Parity.CONSTANT_SIGN))
-        if amp_left != 0.0:
-            terms.append(AsymptoteTerm(amp_left, 2.0 * b + 1.0, Parity.ALTERNATING))
-    else:
-        amp_right = -(2.0 ** (b - a + 1.0)) * p.g_at_1 * _cospi(a) * math.gamma(2.0 * a + 1.0)
-        if _is_integer(b) or a < b:
-            if amp_right != 0.0:
-                terms.append(AsymptoteTerm(amp_right, 2.0 * a + 1.0, Parity.CONSTANT_SIGN))
-        else:  # non-integer beta < alpha: the left endpoint dominates
-            amp_left = (
-                2.0 ** (a - b + 1.0)
-                * p.g_at_minus1
-                * _sinpi(b)
-                * math.gamma(2.0 * b + 1.0)
-                * math.log(2.0)
-                / math.pi
-            )
-            if amp_left != 0.0:
-                terms.append(AsymptoteTerm(amp_left, 2.0 * b + 1.0, Parity.ALTERNATING))
-    terms.sort(key=lambda t: t.exponent)
-    return CoeffAsymptote(tuple(terms))
+    keep_left = not _is_integer(b) and not (p.log_left and a < b)
+    keep_right = not keep_left if p.log_left else not _is_integer(a)
+    terms = []
+    if keep_right:
+        # cos(alpha*pi) is exactly (-1)**alpha for the integer alpha of a log profile
+        trig = (-1.0) ** a if p.log_left else math.sin(math.pi * a)
+        amp = -(2.0 ** (b - a + 1.0)) * p.g_at_1 * trig * math.gamma(2.0 * a + 1.0)
+        terms.append((amp if p.log_left else amp / math.pi, 2.0 * a + 1.0, False))
+    if keep_left:
+        amp = 2.0 ** (a - b + 1.0) * p.g_at_minus1 * math.sin(math.pi * b)
+        amp *= math.gamma(2.0 * b + 1.0)
+        terms.append(((amp * math.log(2.0) if p.log_left else amp) / math.pi, 2.0 * b + 1.0, True))
+    return tuple(sorted((t for t in terms if t[0] != 0.0), key=lambda t: t[1]))
 
 
 def predict_coeff(p: SingularityProfile, n: int) -> float:
     """Leading-order prediction of the n-th Chebyshev coefficient of ``p``."""
     if n < 2:
         raise DomainError(f"coefficient prediction needs n >= 2, got {n}")
-    return coeff_asymptote(p).at(int(n))
+    n = int(n)
+    return sum(
+        (-c if alternating and n % 2 == 0 else c) * float(n) ** (-e)
+        for c, e, alternating in coeff_asymptote(p)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from singquad.bench import tanh_sinh
+from singquad.errors import SizeError
+from singquad.rules import QuadratureRule, RuleKind
 from singquad.singular import coeff_asymptote
 from singquad.transform import ChebGrid, cheb_coeffs
 
@@ -65,6 +67,29 @@ def gl_rule_recurrence(n):
     deriv = n * (x * p - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * deriv * deriv)
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+def cc_rule_direct(n):
+    """Clenshaw-Curtis rule by direct O(n^2) evaluation of the weight formula.
+
+    w_j = (4 delta_j / n) * sum_{k=0}^{floor(n/2)} delta_{2k} cos(2jk*pi/n) / (1 - 4k^2),
+    where delta halves the terms at the ends of its index range (j in
+    {0, n}; 2k in {0, n}).  An oracle independent of the DCT construction
+    of singquad.rules.cc_rule_fast.
+    """
+    if n < 1:
+        raise SizeError(f"rule size must be >= 1, got {n}")
+    k = np.arange(n // 2 + 1)
+    term = 1.0 / (1.0 - 4.0 * k * k)
+    term[0] *= 0.5
+    if n % 2 == 0:
+        term[-1] *= 0.5  # 2k = n happens only for even n
+    j = np.arange(n + 1)
+    cosines = np.cos(np.outer(j, k) * (2.0 * np.pi / n))
+    w = (4.0 / n) * (cosines @ term)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return QuadratureRule(RuleKind.CLENSHAW_CURTIS, n, ChebGrid(n).nodes, w)
 
 
 def dct1_direct_longdouble(values):
@@ -165,11 +190,10 @@ def alias_closed_prediction(profile, k, big_n):
     closed pair of Hurwitz zeta values.
     """
     total = 0.0
-    for term in coeff_asymptote(profile).terms:
-        base = term.at(k)
-        if base == 0.0:
-            continue
-        p = term.exponent
+    for amplitude, p, alternating in coeff_asymptote(profile):
+        base = amplitude * float(k) ** (-p)
+        if alternating and k % 2 == 0:
+            base = -base
         kappa = k / (2.0 * big_n)
         fold = kappa**p * (hurwitz_zeta(p, 1.0 - kappa) + hurwitz_zeta(p, 1.0 + kappa))
         total += base * (1.0 + fold)

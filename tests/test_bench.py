@@ -51,31 +51,22 @@ def test_oracle_matches_closed_forms():
         assert abs(tanh_sinh(f, 1e-12) - exact) <= 1e-12
 
 
-def test_oracle_tolerance_validation():
+@pytest.mark.parametrize("tol", [1e-15, math.nan, math.inf])
+def test_oracle_tolerance_validation(tol):
     with pytest.raises(ConfigError):
-        tanh_sinh(math.exp, 1e-15)
+        tanh_sinh(math.exp, tol)
 
 
-def test_oracle_reads_env_tolerance_at_call_time(monkeypatch):
-    monkeypatch.setenv("SINGQUAD_ORACLE_TOL", "1e-15")
-    with pytest.raises(ConfigError):
-        tanh_sinh(math.exp)
-    monkeypatch.setenv("SINGQUAD_ORACLE_TOL", "1e-10")
-    assert abs(tanh_sinh(math.exp) - (math.e - 1.0 / math.e)) <= 1e-9
-
-
-@pytest.mark.parametrize("text", ["abc", "nan", "inf"])
-def test_oracle_rejects_malformed_env_tolerance(monkeypatch, text):
+@pytest.mark.parametrize("text", ["abc", "1e-3"])
+def test_oracle_ignores_the_environment(capsys, monkeypatch, text):
+    # F1a takes its reference from the oracle, which reaches abs_error
+    argv = ["integrate", "--fn", "F1a", "--n", "16"]
+    monkeypatch.delenv("SINGQUAD_ORACLE_TOL", raising=False)
+    assert cli(argv) == 0
+    unset = capsys.readouterr()
     monkeypatch.setenv("SINGQUAD_ORACLE_TOL", text)
-    with pytest.raises(ConfigError):
-        tanh_sinh(math.exp)
-
-
-def test_malformed_env_tolerance_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("SINGQUAD_ORACLE_TOL", "abc")
-    # F1a takes its reference from the oracle
-    assert cli(["integrate", "--fn", "F1a", "--n", "16"]) == 1
-    assert "SINGQUAD_ORACLE_TOL" in capsys.readouterr().err
+    assert cli(argv) == 0
+    assert capsys.readouterr() == unset
 
 
 def test_oracle_raises_on_non_convergence():

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cc_rule_direct
 from singquad.bench import CSV_HEADER
 from singquad.cli import cli, main
 from singquad.errors import NumericError, OracleError, SizeError
-from singquad.rules import cc_rule_direct, cc_rule_fast
+from singquad.rules import cc_rule_fast
 
 
 def _run(capsys, argv):
@@ -173,6 +174,16 @@ def test_empty_methods_config_line_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: methods must be non-empty\n"
+
+
+def test_methods_flag_and_config_line_parse_alike(capsys, monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr("singquad.bench.run_experiment", lambda cfg: seen.append(cfg) or [])
+    config = tmp_path / "run.cfg"
+    config.write_text("fn = F1a\nmethods =  r2 , cc ,\n", encoding="ascii")
+    assert _run(capsys, ["experiment", "--config", str(config)])[0] == 0
+    assert _run(capsys, ["experiment", "--fn", "F1a", "--methods", " r2 , cc ,"])[0] == 0
+    assert [cfg.methods for cfg in seen] == [("r2", "cc"), ("r2", "cc")]
 
 
 def test_an_off_chain_size_gets_its_own_cc_row(capsys):

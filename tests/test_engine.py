@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import split_reference
+from helpers import cc_rule_direct, split_reference
 from singquad.accel import integrate_split
 from singquad.bench import corpus_function
 from singquad.engine import Integrand, SampleCache, aliasing_error, integrate
 from singquad.errors import ConfigError, DomainError, InputError, IntegrandError, SizeError
-from singquad.rules import RuleKind, cc_rule_direct, cc_rule_fast, gl_rule
+from singquad.rules import RuleKind, cc_rule_fast, gl_rule
 from singquad.singular import SingularityProfile
 from singquad.transform import ChebGrid
 
@@ -210,8 +210,10 @@ def test_cache_size_validation():
     with pytest.raises(SizeError):
         cache.values_at(8)  # nothing stored yet
     cache.ensure(math.exp, 16)
-    with pytest.raises(SizeError):
-        cache.values_at(6)
+    # 0 once raised a bare ZeroDivisionError; -4 returned the samples reversed
+    for n in (6, 0, -4):
+        with pytest.raises(SizeError):
+            cache.values_at(n)
     assert cache.values_at(8).shape == (9,)
 
 

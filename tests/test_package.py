@@ -30,7 +30,7 @@ def test_version():
 def test_top_level_exports_resolve():
     for name in (
         "ChebGrid", "cheb_coeffs", "cheb_eval", "dct1",
-        "cc_rule_direct", "cc_rule_fast", "gl_rule",
+        "cc_rule_fast", "gl_rule",
         "integrate", "integrate_split",
         "aliasing_error", "SampleCache",
         "SingularityProfile", "classify_s", "exponent_ladder",
@@ -42,14 +42,14 @@ def test_top_level_exports_resolve():
 
 
 EXPORTS = [
-    "AsymptoteTerm", "ChebCoeffs", "ChebGrid", "CoeffAsymptote", "ConfigError",
+    "ChebCoeffs", "ChebGrid", "ConfigError",
     "ConvergenceRecord", "CorpusFunction", "DomainError", "ExperimentConfig",
     "ExponentLadder", "ExtrapolationTableau", "InputError", "InsufficientDataError",
     "Integrand", "IntegrandError", "NumericError", "OracleError",
-    "Parity", "ProfileError", "QuadratureResult", "QuadratureRule", "RangeError",
+    "ProfileError", "QuadratureResult", "QuadratureRule", "RangeError",
     "RateEstimate", "RuleKind", "SampleCache", "SingquadError", "SingularityProfile",
     "SizeError", "aliasing_error", "bernoulli",
-    "cc_rule_direct", "cc_rule_fast", "cheb_coeffs",
+    "cc_rule_fast", "cheb_coeffs",
     "cheb_eval", "classify_s", "coeff_asymptote", "corpus", "corpus_function", "dct1",
     "default_noise_floor", "exponent_ladder", "extrapolate_rows", "faulhaber_sum",
     "fit_rate", "gl_rule", "hatphi2_pi", "hatphi_pi", "hatpsi0", "hatpsi2_0",

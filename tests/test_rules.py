@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OTHER_SIZES, gl_rule_recurrence, supported_sizes
+from helpers import OTHER_SIZES, cc_rule_direct, gl_rule_recurrence, supported_sizes
 from singquad.errors import NumericError, SizeError
-from singquad.rules import (
-    QuadratureRule,
-    RuleKind,
-    cc_rule_direct,
-    cc_rule_fast,
-    gl_rule,
-)
+from singquad.rules import QuadratureRule, RuleKind, cc_rule_fast, gl_rule
 
 
 def exactness_errors(rule, degree):

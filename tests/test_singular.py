@@ -11,9 +11,7 @@ from helpers import alias_closed_prediction, dct_coeff, fd_second_derivative, ph
 from singquad.bench import corpus_function
 from singquad.errors import ConfigError, DomainError, ProfileError, RangeError
 from singquad.singular import (
-    AsymptoteTerm,
     ExponentLadder,
-    Parity,
     SingularityProfile,
     bernoulli,
     classify_s,
@@ -210,6 +208,10 @@ def test_non_finite_ladder_exponents_are_rejected(d):
 def test_predicted_coeff_closed_values():
     got = predict_coeff(exp_profile(0.5, 0.0), 1024)
     assert got == pytest.approx(-math.sqrt(2.0) * E / (math.pi * 1024**2), rel=1e-15)
+    # g = 1: the constant-sign branch alone, at small indices too
+    for n in (10, 64):
+        got = predict_coeff(SingularityProfile(0.5, 0.0), n)
+        assert got == pytest.approx(-math.sqrt(2.0) / (math.pi * n**2), rel=1e-15)
 
     log_profile = SingularityProfile(
         1.0,
@@ -247,18 +249,12 @@ def test_alternating_branch_flips_sign_with_index():
 def test_asymptote_parity_structure():
     # integer beta kills the alternating branch, integer alpha the
     # constant-sign branch, and a generic profile keeps both
-    right_only = coeff_asymptote(SingularityProfile(0.5, 0.0)).terms
-    assert [t.parity for t in right_only] == [Parity.CONSTANT_SIGN]
-    left_only = coeff_asymptote(SingularityProfile(1.0, 0.5)).terms
-    assert [t.parity for t in left_only] == [Parity.ALTERNATING]
-    both = coeff_asymptote(SingularityProfile(0.75, 0.25)).terms
-    assert sorted(t.parity.value for t in both) == ["alternating", "constant-sign"]
-
-
-def test_asymptote_term_evaluation():
-    term = AsymptoteTerm(3.0, 2.0, Parity.ALTERNATING)
-    assert term.at(9) == pytest.approx(3.0 * 9.0**-2, rel=1e-15)
-    assert term.at(8) == pytest.approx(-3.0 * 8.0**-2, rel=1e-15)
+    right_only = coeff_asymptote(SingularityProfile(0.5, 0.0))
+    assert [alternating for _, _, alternating in right_only] == [False]
+    left_only = coeff_asymptote(SingularityProfile(1.0, 0.5))
+    assert [alternating for _, _, alternating in left_only] == [True]
+    both = coeff_asymptote(SingularityProfile(0.75, 0.25))
+    assert sorted(alternating for _, _, alternating in both) == [False, True]
 
 
 @pytest.mark.parametrize(
