@@ -21,7 +21,7 @@ import numpy as np
 from .engine import Integrand, SampleCache, integrate
 from .errors import ConfigError, DomainError, InputError, InsufficientDataError
 from .rules import cc_rule_fast
-from .singular import ExponentLadder, SingularityProfile, exponent_ladder
+from .singular import SingularityProfile, exponent_ladder
 
 __all__ = [
     "ExtrapolationTableau",
@@ -34,6 +34,24 @@ __all__ = [
 ]
 
 
+def _check_ladder(ladder, q: int) -> tuple:
+    """The ladder as a tuple, once it is known to serve q extrapolation levels.
+
+    A ladder must hold at least q exponents, all finite, positive and
+    strictly increasing; anything else raises ConfigError.
+    """
+    d = tuple(ladder)
+    if len(d) < q:
+        raise ConfigError(f"depth {q} needs a ladder of length >= {q}, got {len(d)}")
+    if not all(math.isfinite(v) for v in d):
+        raise ConfigError(f"ladder exponents must be finite, got {d}")
+    if not all(hi > lo for lo, hi in zip(d, d[1:])):
+        raise ConfigError(f"ladder exponents must increase strictly, got {d}")
+    if d and d[0] <= 0:
+        raise ConfigError(f"ladder exponents must be positive, got {d}")
+    return d
+
+
 def extrapolate_rows(row0: Sequence[float], ladder) -> list:
     """Fill the extrapolation triangle from its first row.
 
@@ -41,8 +59,7 @@ def extrapolate_rows(row0: Sequence[float], ladder) -> list:
     (2**(d_j+1) * rows[j][k+1] - rows[j][k]) / (2**(d_j+1) - 1).
     """
     q = len(row0) - 1
-    if q > len(ladder):
-        raise ConfigError(f"{q} extrapolation levels need a ladder of length >= {q}")
+    ladder = _check_ladder(ladder, q)
     rows = [list(float(v) for v in row0)]
     for j in range(q):
         fac = 2.0 ** (float(ladder[j]) + 1.0)
@@ -63,7 +80,7 @@ class ExtrapolationTableau:
 
     base_n: int
     q: int
-    ladder: ExponentLadder
+    ladder: tuple
     rows: tuple
     evals_used: int = field(compare=False, default=0)
 
@@ -79,20 +96,20 @@ def richardson(
     f,
     base_n: int,
     q: int,
-    ladder: ExponentLadder,
+    ladder,
     cache: Optional[SampleCache] = None,
 ) -> ExtrapolationTableau:
     """Run q extrapolation levels above Clenshaw-Curtis at sizes base_n..2**q*base_n.
 
-    The ladder must supply at least q exponents; depth 0 is plain
+    The ladder must supply at least q finite, positive, strictly increasing
+    exponents, checked before any sample is taken; depth 0 is plain
     Clenshaw-Curtis, for which an empty ladder will do.  A fresh cache on
     ``base_n`` is created unless one is passed in; the cache decides which
     sizes it serves and raises SizeError for the rest.
     """
     if q < 0:
         raise ConfigError(f"extrapolation depth must be >= 0, got {q}")
-    if len(ladder) < q:
-        raise ConfigError(f"depth {q} needs a ladder of length >= {q}, got {len(ladder)}")
+    ladder = _check_ladder(ladder, q)
     if cache is None:
         cache = SampleCache(base_n)
     evals = 0

@@ -6,7 +6,6 @@ __all__ = [
     "InputError",
     "DomainError",
     "ProfileError",
-    "RangeError",
     "ConfigError",
     "InsufficientDataError",
     "NumericError",
@@ -33,10 +32,6 @@ class DomainError(SingquadError, ValueError):
 
 class ProfileError(SingquadError, ValueError):
     """Singularity profile violates its invariants."""
-
-
-class RangeError(SingquadError, ValueError):
-    """Argument outside the documented exact-arithmetic range."""
 
 
 class ConfigError(SingquadError, ValueError):

@@ -1,11 +1,15 @@
 """Independent oracles shared by the test modules.
 
 Everything here is test-side reference machinery: slow direct sums,
-extended-precision transforms, finite differences, and image-sum
-closures.  Production code must never import from this file.
+extended-precision transforms, finite differences, image-sum closures,
+and the exact endpoint-sum identities and auxiliary endpoint values of
+the paper's proofs.  Production code must never import from this file.
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -220,6 +224,132 @@ def phi_hat(profile, g, t):
         * g(x)
         / ((math.pi - t) ** (2.0 * profile.beta) * 2.0 ** (profile.alpha + profile.beta))
     )
+
+
+# Endpoint values of the auxiliary functions psi_hat and phi_hat above, in
+# closed form: the terms of the paper's asymptotic error expansion.
+
+
+def hatpsi0(p) -> float:
+    """Value of the right-endpoint auxiliary function at angle 0: g(1)/2**(2*alpha)."""
+    return p.g_at_1 / 2.0 ** (2.0 * p.alpha)
+
+
+def hatphi_pi(p) -> float:
+    """Value of the left-endpoint auxiliary function at angle pi: g(-1)/2**(2*beta)."""
+    return p.g_at_minus1 / 2.0 ** (2.0 * p.beta)
+
+
+def hatpsi2_0(p) -> float:
+    """Second derivative of the right-endpoint auxiliary function at angle 0."""
+    a, b = p.alpha, p.beta
+    return -p.g_at_1 / 2.0 ** (2.0 * a + 1.0) * (a / 3.0 + b) - p.g_prime_at_1 / 2.0 ** (2.0 * a)
+
+
+def hatphi2_pi(p) -> float:
+    """Second derivative of the left-endpoint auxiliary function at angle pi."""
+    a, b = p.alpha, p.beta
+    return -p.g_at_minus1 / 2.0 ** (2.0 * b + 1.0) * (a + b / 3.0) + p.g_prime_at_minus1 / 2.0 ** (
+        2.0 * b
+    )
+
+
+# Exact rational machinery of the paper's rate proof: Bernoulli numbers,
+# Faulhaber sums and H(n, k) = sum r**(2k) / (4r**2 - 1), by recurrence
+# and by closed form.
+
+_BERNOULLI_MAX = 16
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_table(limit: int) -> tuple:
+    # standard recurrence: sum_{j=0}^{m} C(m+1, j) B_j = 0, so B_1 = -1/2
+    table = [Fraction(1)]
+    for m in range(1, limit + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += comb(m + 1, j) * table[j]
+        table.append(-acc / comb(m + 1, m))
+    return tuple(table)
+
+
+def bernoulli(k: int) -> Fraction:
+    """Exact k-th Bernoulli number for 0 <= k <= 16 (B_1 = -1/2)."""
+    if not 0 <= k <= _BERNOULLI_MAX:
+        raise ValueError(f"Bernoulli numbers supported for 0 <= k <= {_BERNOULLI_MAX}, got {k}")
+    return _bernoulli_table(_BERNOULLI_MAX)[k]
+
+
+_K_MAX = 8
+
+
+def _check_nk(n: int, k: int) -> None:
+    if not 1 <= k <= _K_MAX:
+        raise ValueError(f"supported power range is 1 <= k <= {_K_MAX}, got {k}")
+    if n < 1:
+        raise ValueError(f"summation length must be >= 1, got {n}")
+
+
+def faulhaber_sum(n: int, k: int) -> Fraction:
+    """Exact S(n, k) = sum_{r=1}^{n} r**(2k).
+
+    Evaluated through the closed form
+    n**(2k+1)/(2k+1) + n**(2k)/2
+    + sum_{j=1}^{k} (2k)! B_{2j} / ((2j)! (2k-2j+1)!) * n**(2k-2j+1).
+    """
+    _check_nk(n, k)
+    total = Fraction(n ** (2 * k + 1), 2 * k + 1) + Fraction(n ** (2 * k), 2)
+    for j in range(1, k + 1):
+        coeff = Fraction(factorial(2 * k)) * bernoulli(2 * j)
+        coeff /= factorial(2 * j) * factorial(2 * k - 2 * j + 1)
+        total += coeff * n ** (2 * k - 2 * j + 1)
+    return total
+
+
+def lemma_H(n: int, k: int) -> Fraction:
+    """Exact H(n, k) = sum_{r=1}^{n} r**(2k) / (4r**2 - 1), by recurrence.
+
+    Seeded with H(n, 1) = n(n+1)/(2(2n+1)) and advanced through
+    H(n, j+1) = (H(n, j) + S(n, j)) / 4.
+    """
+    _check_nk(n, k)
+    h = Fraction(n * (n + 1), 2 * (2 * n + 1))
+    for j in range(1, k):
+        h = (h + faulhaber_sum(n, j)) / 4
+    return h
+
+
+def _nu(j: int, k: int) -> Fraction:
+    """Coefficient of n**(2k-j) in the closed form of H(n, k)."""
+    if j % 2 == 0:
+        t = j // 2
+        return Fraction(1, 2 ** (2 * t + 1))
+    if j == 2 * k - 1:
+        return sum(
+            (bernoulli(2 * k - 2 * p) / 4**p for p in range(1, k)),
+            start=Fraction(0),
+        )
+    t = (j - 1) // 2  # 0 <= t <= k - 2
+    acc = Fraction(0)
+    for p in range(1, t + 2):
+        acc += Fraction(factorial(2 * k - 2 * p), factorial(2 * t - 2 * p + 2)) * (
+            bernoulli(2 * t - 2 * p + 2) / 4**p
+        )
+    return acc / factorial(2 * k - 2 * t - 1)
+
+
+def lemma_H_closed(n: int, k: int) -> Fraction:
+    """Exact H(n, k) through the closed form: independent of :func:`lemma_H`.
+
+    H(n, k) = n(n+1) / (4**(k-1) * 2(2n+1)) + sum_{j=1}^{2k-1} nu_j^k n**(2k-j),
+    with the nu coefficients built from Bernoulli numbers.  Must agree
+    exactly with the recurrence path; criterion 03 enforces this.
+    """
+    _check_nk(n, k)
+    h = Fraction(n * (n + 1), 2 * (2 * n + 1)) / 4 ** (k - 1)
+    for j in range(1, 2 * k):
+        h += _nu(j, k) * n ** (2 * k - j)
+    return h
 
 
 def fd_second_derivative(F, F0, h=1e-2):

@@ -15,10 +15,10 @@ from singquad.bench import corpus, corpus_function
 from singquad.engine import SampleCache, integrate
 from singquad.errors import ConfigError, InputError, InsufficientDataError, SizeError
 from singquad.rules import cc_rule_fast
-from singquad.singular import ExponentLadder, exponent_ladder
+from singquad.singular import exponent_ladder
 
 
-LADDER_24 = ExponentLadder((2.0, 4.0))
+LADDER_24 = (2.0, 4.0)
 
 
 def _counted(f):
@@ -39,7 +39,7 @@ def _counted(f):
 def test_single_level_annihilates_matching_power():
     # Values 1/n^3 at n and 2n: one level with d_0 = 2 removes the term
     # exactly (all quantities are dyadic, so the float arithmetic is exact).
-    rows = extrapolate_rows([1.0 / 8.0, 1.0 / 64.0], ExponentLadder((2.0,)))
+    rows = extrapolate_rows([1.0 / 8.0, 1.0 / 64.0], (2.0,))
     assert rows[0] == [1.0 / 8.0, 1.0 / 64.0]
     assert rows[1] == [0.0]
 
@@ -51,7 +51,7 @@ def test_row_lengths_shrink_by_one_per_level():
 
 def test_more_levels_than_ladder_entries_is_rejected():
     with pytest.raises(ConfigError):
-        extrapolate_rows([3.0, 2.0, 1.0], ExponentLadder((2.0,)))
+        extrapolate_rows([3.0, 2.0, 1.0], (2.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +154,35 @@ def test_richardson_validation():
         richardson(f, 16, 3, LADDER_24)  # ladder has only two exponents
     with pytest.raises(SizeError):
         richardson(f, 16, 1, LADDER_24, cache=SampleCache(24))
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    [
+        (math.nan,),
+        (math.inf,),
+        (1.0, math.inf),
+        (-math.inf, 1.0),
+        (1.0, math.nan),
+        (-1.0,),
+        (-1.0, 2.0),
+        (0.0,),
+        (3.0, 1.0),
+        (2.0, 2.0),
+        (),
+    ],
+    ids=repr,
+)
+def test_bad_ladders_are_rejected_before_sampling(ladder):
+    # any sequence is checked, before a single evaluation, by both entry
+    # points; the depth uses every exponent, so the value rules are reached
+    q = max(len(ladder), 1)
+    wrapped, calls = _counted(math.exp)
+    with pytest.raises(ConfigError):
+        richardson(wrapped, 8, q, ladder)
+    assert calls[0] == 0
+    with pytest.raises(ConfigError):
+        extrapolate_rows([3.0, 2.0, 1.0][: q + 1], ladder)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from helpers import alias_closed_prediction, cc_rule_direct, dct_coeff
+from helpers import alias_closed_prediction, cc_rule_direct, dct_coeff, lemma_H, lemma_H_closed
 from singquad.accel import (
     default_noise_floor,
     extrapolate_rows,
@@ -23,7 +23,7 @@ from singquad.bench import corpus_function
 from singquad.engine import SampleCache, aliasing_error, integrate
 from singquad.errors import InsufficientDataError
 from singquad.rules import cc_rule_fast, gl_rule
-from singquad.singular import exponent_ladder, lemma_H, lemma_H_closed
+from singquad.singular import exponent_ladder
 from singquad.transform import ChebGrid, cheb_coeffs, cheb_eval
 
 

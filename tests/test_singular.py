@@ -1,4 +1,4 @@
-"""Singularity classification, exact sums, and coefficient asymptotics."""
+"""Singularity classification, coefficient asymptotics, and the exact sums behind them."""
 
 import math
 from fractions import Fraction
@@ -7,23 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import alias_closed_prediction, dct_coeff, fd_second_derivative, phi_hat, psi_hat
-from singquad.bench import corpus_function
-from singquad.errors import ConfigError, DomainError, ProfileError, RangeError
-from singquad.singular import (
-    ExponentLadder,
-    SingularityProfile,
+from helpers import (
+    alias_closed_prediction,
     bernoulli,
-    classify_s,
-    coeff_asymptote,
-    exponent_ladder,
+    dct_coeff,
     faulhaber_sum,
+    fd_second_derivative,
     hatphi2_pi,
     hatphi_pi,
     hatpsi0,
     hatpsi2_0,
     lemma_H,
     lemma_H_closed,
+    phi_hat,
+    psi_hat,
+)
+from singquad.bench import corpus_function
+from singquad.errors import DomainError, ProfileError
+from singquad.singular import (
+    SingularityProfile,
+    classify_s,
+    coeff_asymptote,
+    exponent_ladder,
     predict_coeff,
 )
 
@@ -52,7 +57,7 @@ def exp_profile(alpha, beta, log_left=False):
 
 
 # ---------------------------------------------------------------------------
-# exact rational machinery
+# exact rational machinery (test helpers: the paper's proof identities)
 
 
 def test_bernoulli_values():
@@ -65,9 +70,9 @@ def test_bernoulli_values():
 
 
 def test_bernoulli_range_errors():
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         bernoulli(18)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         bernoulli(-1)
 
 
@@ -78,11 +83,11 @@ def test_faulhaber_values():
 
 
 def test_faulhaber_range_errors():
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         faulhaber_sum(3, 0)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         faulhaber_sum(3, 9)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         faulhaber_sum(0, 1)
 
 
@@ -149,19 +154,19 @@ def test_smoothness_index_converts_to_float():
 
 
 def test_ladder_examples():
-    assert exponent_ladder(SingularityProfile(0.5, 0.0), 3).d == (2.0, 4.0, 6.0)
-    assert exponent_ladder(SingularityProfile(0.75, 0.25), 4).d == (1.5, 2.5, 3.5, 4.5)
-    assert exponent_ladder(SingularityProfile(1.0, 0.0, log_left=True), 3).d == (3.0, 5.0, 7.0)
+    assert exponent_ladder(SingularityProfile(0.5, 0.0), 3) == (2.0, 4.0, 6.0)
+    assert exponent_ladder(SingularityProfile(0.75, 0.25), 4) == (1.5, 2.5, 3.5, 4.5)
+    assert exponent_ladder(SingularityProfile(1.0, 0.0, log_left=True), 3) == (3.0, 5.0, 7.0)
     # an integer alpha without the log factor drops the right branch
-    assert exponent_ladder(SingularityProfile(1.0, 0.25), 3).d == (1.5, 3.5, 5.5)
+    assert exponent_ladder(SingularityProfile(1.0, 0.25), 3) == (1.5, 3.5, 5.5)
 
 
 def test_ladder_merges_and_deduplicates_families():
     # equal exponents collapse to one family
-    assert exponent_ladder(SingularityProfile(0.5, 0.5), 3).d == (2.0, 4.0, 6.0)
+    assert exponent_ladder(SingularityProfile(0.5, 0.5), 3) == (2.0, 4.0, 6.0)
     # interleaved families merge sorted
-    assert exponent_ladder(SingularityProfile(0.5, 0.25), 3).d == (1.5, 2.0, 3.5)
-    assert exponent_ladder(SingularityProfile(1.0, 0.5, log_left=True), 4).d == (2.0, 3.0, 4.0, 5.0)
+    assert exponent_ladder(SingularityProfile(0.5, 0.25), 3) == (1.5, 2.0, 3.5)
+    assert exponent_ladder(SingularityProfile(1.0, 0.5, log_left=True), 4) == (2.0, 3.0, 4.0, 5.0)
 
 
 def test_ladder_first_element_is_index_plus_one_on_grid():
@@ -175,30 +180,10 @@ def test_ladder_first_element_is_index_plus_one_on_grid():
                 except ProfileError:
                     continue
                 ladder = exponent_ladder(p, 5)
-                assert ladder.d[0] == classify_s(p) + 1.0, (alpha, beta, log_left)
-                assert all(hi > lo for lo, hi in zip(ladder.d, ladder.d[1:]))
+                assert ladder[0] == classify_s(p) + 1.0, (alpha, beta, log_left)
+                assert all(hi > lo for lo, hi in zip(ladder, ladder[1:]))
                 checked += 1
     assert checked > 30  # the grid must not silently degenerate
-
-
-def test_custom_ladders():
-    ladder = ExponentLadder((2.0, 3.5, 7.0))
-    assert tuple(ladder) == (2.0, 3.5, 7.0)
-    assert ladder[1] == 3.5
-    with pytest.raises(ConfigError):
-        ExponentLadder((2.0, 2.0))
-    with pytest.raises(ConfigError):
-        ExponentLadder(())
-    with pytest.raises(ConfigError):
-        ExponentLadder((-1.0, 2.0))
-
-
-@pytest.mark.parametrize(
-    "d", [(math.nan,), (math.inf,), (1.0, math.inf), (-math.inf, 1.0), (1.0, math.nan)]
-)
-def test_non_finite_ladder_exponents_are_rejected(d):
-    with pytest.raises(ConfigError, match="finite"):
-        ExponentLadder(d)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +208,23 @@ def test_predicted_coeff_closed_values():
     )
     got = predict_coeff(log_profile, 512)
     assert got == pytest.approx(2.0 * math.cos(2.0) / 512**3, rel=1e-15)
+
+    # a vanishing amplitude leaves no term, and the prediction is still a float
+    got = predict_coeff(SingularityProfile(0.5, 0.0, g_at_1=0.0), 64)
+    assert got == 0.0 and isinstance(got, float)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,exponent",
+    [
+        (100.5, 0.0, "100.5"),  # Gamma(202) overflows
+        (0.5, 2000.0, "0.5"),  # 2**2000.5 overflows
+        (80.5, 152.0, "80.5"),  # every factor is finite, their product is not
+    ],
+)
+def test_overflowing_amplitude_is_a_domain_error(alpha, beta, exponent):
+    with pytest.raises(DomainError, match=f"exponent {exponent} "):
+        predict_coeff(SingularityProfile(alpha, beta), 64)
 
 
 def test_predicted_coeff_parity_cancellation():
