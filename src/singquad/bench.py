@@ -3,8 +3,8 @@
 The corpus carries six endpoint-singular integrands with exact profile
 data.  References come from a tanh-sinh (double-exponential) oracle,
 which never evaluates the integrand at the endpoints; Beta-function
-closed forms, where they exist, are kept to cross-check it.  Experiment
-output is a deterministic list of records, optionally rendered to CSV.
+closed forms, where they exist, are kept to cross-check it.  Experiments
+return a deterministic list of records, which ``render_csv`` writes as CSV.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "corpus",
     "corpus_function",
     "run_experiment",
-    "write_csv",
 ]
 
 CSV_HEADER = "n,method,approx,abs_error,evals"
@@ -113,15 +112,16 @@ def tanh_sinh(f, tol: float = 1e-12) -> float:
 class CorpusFunction:
     """One benchmark integrand with profile data.
 
-    The reference is always the tanh-sinh oracle.  Where a Beta-function
-    closed form exists it is stored in ``closed_form``, so the two can be
-    cross-checked.
+    The reference is the deterministic tanh-sinh oracle, run once per
+    function per process.  A Beta-function closed form, where one exists,
+    is kept in ``closed_form`` so the two can be cross-checked.
     """
 
     id: str
     integrand: Integrand
     closed_form: Optional[float] = None
 
+    @functools.cache
     def reference_value(self) -> float:
         return tanh_sinh(self.integrand)
 
@@ -263,7 +263,6 @@ class ExperimentConfig:
     fn: str
     methods: tuple = METHOD_ORDER
     n_values: tuple = tuple(16 * 2**k for k in range(8))
-    out: Optional[str] = None
 
     def __post_init__(self):
         unknown = [m for m in self.methods if m not in METHOD_ORDER]
@@ -336,8 +335,6 @@ def run_experiment(cfg: ExperimentConfig) -> list:
                 RuntimeWarning,
                 stacklevel=2,
             )
-    if cfg.out is not None:
-        write_csv(records, cfg.out)
     return records
 
 
@@ -347,72 +344,3 @@ def render_csv(records) -> str:
     for r in records:
         lines.append(f"{r.n},{r.method},{r.approx:.17g},{r.abs_error:.17g},{r.evals}")
     return "\n".join(lines) + "\n"
-
-
-def write_csv(records, path: str) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(render_csv(records))
-
-
-# ---------------------------------------------------------------------------
-# experiment configs as text
-
-
-def parse_n_spec(text: str) -> tuple:
-    """Size lists: '16..2048 x2' (geometric), '16,32,64', or a single int."""
-    text = text.strip()
-    try:
-        if ".." in text:
-            lo_part, _, rest = text.partition("..")
-            hi_part, _, factor_part = rest.partition("x")
-            if not factor_part.strip():
-                raise ValueError("missing step factor")
-            lo, hi = int(lo_part), int(hi_part)
-            factor = int(factor_part)
-            if lo < 1 or hi < lo or factor < 2:
-                raise ValueError("bad range")
-            values = []
-            n = lo
-            while n <= hi:
-                values.append(n)
-                n *= factor
-            return tuple(values)
-        if "," in text:
-            return tuple(int(part) for part in text.split(","))
-        return (int(text),)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse size list {text!r}: {exc}") from None
-
-
-def parse_methods(text: str) -> tuple:
-    """Method lists: comma-separated names; blanks around and between commas are dropped."""
-    return tuple(m.strip() for m in text.split(",") if m.strip())
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse 'key = value' experiment lines into config keyword arguments.
-
-    Keys: fn, methods (see :func:`parse_methods`), n (see
-    :func:`parse_n_spec`), out.  Blank lines and '#' comments are skipped.
-    """
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"config line {lineno} is not 'key = value': {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key == "fn":
-            out["fn"] = value
-        elif key == "methods":
-            out["methods"] = parse_methods(value)
-        elif key == "n":
-            out["n_values"] = parse_n_spec(value)
-        elif key == "out":
-            out["out"] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r} on line {lineno}")
-    return out
-

@@ -14,7 +14,7 @@ import warnings
 from . import bench
 from .accel import richardson
 from .engine import _eval_nodes, integrate
-from .errors import NumericError, SingquadError
+from .errors import ConfigError, NumericError, SingquadError
 from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, classify_s, exponent_ladder, predict_coeff
 from .transform import ChebGrid, cheb_coeffs
@@ -32,6 +32,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise _UsageError(message)
+
+
+def _write_csv(records, path: str) -> None:
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(bench.render_csv(records))
+    print(f"wrote {path}")
 
 
 def _floats(values) -> str:
@@ -111,9 +117,8 @@ def _cmd_reproduce(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for fn_id in fn_ids:
         path = os.path.join(args.out, f"figure{args.figure}_{fn_id}.csv")
-        cfg = bench.ExperimentConfig(fn=fn_id, n_values=n_values, out=path)
-        bench.run_experiment(cfg)
-        print(f"wrote {path}")
+        cfg = bench.ExperimentConfig(fn=fn_id, n_values=n_values)
+        _write_csv(bench.run_experiment(cfg), path)
     return 0
 
 
@@ -121,25 +126,78 @@ def _cmd_experiment(args) -> int:
     kwargs: dict = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
-            kwargs = bench.parse_config_text(handle.read())
+            kwargs = parse_config_text(handle.read())
     # flags win over config-file values
     if args.fn is not None:
         kwargs["fn"] = args.fn
     if args.methods is not None:
-        kwargs["methods"] = bench.parse_methods(args.methods)
+        kwargs["methods"] = parse_methods(args.methods)
     if args.n is not None:
-        kwargs["n_values"] = bench.parse_n_spec(args.n)
+        kwargs["n_values"] = parse_n_spec(args.n)
     if args.out is not None:
         kwargs["out"] = args.out
+    out = kwargs.pop("out", None)
     if "fn" not in kwargs:
         raise SingquadError("an experiment needs a corpus function: set fn in the config or --fn")
-    cfg = bench.ExperimentConfig(**kwargs)
-    records = bench.run_experiment(cfg)
-    if cfg.out is None:
+    records = bench.run_experiment(bench.ExperimentConfig(**kwargs))
+    if out is None:
         sys.stdout.write(bench.render_csv(records))
     else:
-        print(f"wrote {cfg.out}")
+        _write_csv(records, out)
     return 0
+
+
+def parse_n_spec(text: str) -> tuple:
+    """Size lists: '16..2048 x2' (geometric), '16,32,64', or a single int."""
+    text = text.strip()
+    try:
+        if ".." in text:
+            lo_part, _, rest = text.partition("..")
+            hi_part, _, factor_part = rest.partition("x")
+            if not factor_part.strip():
+                raise ValueError("missing step factor")
+            lo, hi, factor = int(lo_part), int(hi_part), int(factor_part)
+            if lo < 1 or hi < lo or factor < 2:
+                raise ValueError("bad range")
+            values = [lo]
+            while values[-1] * factor <= hi:
+                values.append(values[-1] * factor)
+            return tuple(values)
+        if "," in text:
+            return tuple(int(part) for part in text.split(","))
+        return (int(text),)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse size list {text!r}: {exc}") from None
+
+
+def parse_methods(text: str) -> tuple:
+    """Method lists: comma-separated names; blanks around and between commas are dropped."""
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse 'key = value' lines into ExperimentConfig arguments and "out".
+
+    Keys: fn, methods (see :func:`parse_methods`), n (see
+    :func:`parse_n_spec`), out.  Blank lines and '#' comments are skipped.
+    """
+    out: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"config line {lineno} is not 'key = value': {raw!r}")
+        key, value = key.strip(), value.strip()
+        if key == "methods":
+            value = parse_methods(value)
+        elif key == "n":
+            key, value = "n_values", parse_n_spec(value)
+        elif key not in ("fn", "out"):
+            raise ConfigError(f"unknown config key {key!r} on line {lineno}")
+        out[key] = value
+    return out
 
 
 def _build_parser() -> _Parser:

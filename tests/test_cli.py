@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import cc_rule_direct
-from singquad.bench import CSV_HEADER
+from singquad.bench import CSV_HEADER, CorpusFunction
 from singquad.cli import cli, main
 from singquad.errors import NumericError, OracleError, SizeError
 from singquad.rules import cc_rule_fast
@@ -257,6 +257,23 @@ def test_experiment_out_flag_writes_a_file(capsys, tmp_path):
     assert path.read_text(encoding="ascii").startswith(CSV_HEADER)
 
 
+def test_experiment_writes_the_stdout_csv_bytes_to_out(capsys, tmp_path):
+    argv = ["experiment", "--fn", "F3a", "--methods", "cc,r1", "--n", "16,32"]
+    code, stdout_csv, _ = _run(capsys, argv)
+    assert code == 0
+    flag_path, config_path = tmp_path / "flag.csv", tmp_path / "config.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"fn = F3a\nmethods = cc,r1\nn = 16,32\nout = {config_path}\n", encoding="ascii"
+    )
+    for run, path in (
+        (argv + ["--out", str(flag_path)], flag_path),
+        (["experiment", "--config", str(config)], config_path),
+    ):
+        assert _run(capsys, run) == (0, f"wrote {path}\n", "")
+        assert path.read_text(encoding="ascii") == stdout_csv
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -293,6 +310,7 @@ def test_numeric_failures_exit_2(capsys, monkeypatch):
     def raiser(f, tol=None):
         raise OracleError("tanh-sinh failed to reach tolerance")
 
+    CorpusFunction.reference_value.cache_clear()  # a memoized F1a would skip the oracle
     monkeypatch.setattr("singquad.bench.tanh_sinh", raiser)
     code, _, err = _run(capsys, ["integrate", "--fn", "F1a", "--n", "16"])
     assert code == 2

@@ -53,7 +53,7 @@ EXPORTS = [
     "default_noise_floor", "exponent_ladder", "extrapolate_rows",
     "fit_rate", "gl_rule",
     "integrate", "integrate_split",
-    "predict_coeff", "richardson", "run_experiment", "tanh_sinh", "write_csv",
+    "predict_coeff", "richardson", "run_experiment", "tanh_sinh",
 ]
 
 

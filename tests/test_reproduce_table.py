@@ -8,7 +8,8 @@ perfbench/expected_reproduce.json holds every record of the 24 jobs behind
 import json
 from pathlib import Path
 
-from singquad.bench import ExperimentConfig, parse_n_spec, run_experiment
+from singquad.bench import ExperimentConfig, run_experiment
+from singquad.cli import parse_n_spec
 
 TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "expected_reproduce.json"
 
