@@ -290,6 +290,18 @@ def test_records_come_out_in_canonical_order():
         )
 
 
+def test_run_experiment_writes_csv_when_asked(tmp_path, capsys):
+    # run_experiment only returns records; a config's `out =` asks the CLI
+    # to write exactly render_csv of those records
+    path = tmp_path / "out.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"fn = F3a\nmethods = cc\nn = 16,32\nout = {path}\n", encoding="ascii")
+    assert cli(["experiment", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    records = run_experiment(ExperimentConfig(fn="F3a", methods=("cc",), n_values=(16, 32)))
+    assert path.read_text(encoding="ascii") == render_csv(records)
+
+
 def test_failing_series_warns_and_keeps_the_other_methods(monkeypatch):
     # F1a, but NaN at one node that only the cc grid of size 28 holds
     f1a = corpus_function("F1a")
@@ -370,6 +382,16 @@ def test_csv_round_trips_floats_exactly():
     assert (n, method, evals) == ("16", "cc", "17")
     assert float(approx) == 1.0 / 3.0
     assert float(abs_error) == 2.5e-17
+
+
+def test_write_csv(tmp_path, capsys):
+    # the CSV file a run writes holds render_csv's text, byte for byte
+    path = tmp_path / "records.csv"
+    argv = ["experiment", "--fn", "F1a", "--methods", "gl", "--n", "8", "--out", str(path)]
+    assert cli(argv) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    records = run_experiment(ExperimentConfig(fn="F1a", methods=("gl",), n_values=(8,)))
+    assert path.read_text(encoding="ascii") == render_csv(records)
 
 
 # ---------------------------------------------------------------------------
