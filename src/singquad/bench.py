@@ -42,6 +42,7 @@ METHOD_ORDER = ("cc", "gl", "r1", "r2")
 
 _ORACLE_T_MAX = 4.5
 _ORACLE_MAX_LEVELS = 12
+_ORACLE_TOL = 1e-12
 
 
 @functools.cache
@@ -74,21 +75,18 @@ def _level_sum(f: Integrand, level: int) -> float:
     return float(np.dot(ws, f.sample(xs)))
 
 
-def tanh_sinh(f, tol: float = 1e-12) -> float:
+def tanh_sinh(f) -> float:
     """Double-exponential reference value of the integral of f over [-1, 1].
 
     Maps x = tanh((pi/2) sinh t) and refines the trapezoid step until two
-    consecutive levels agree to ``tol`` (relative plus absolute).  Nodes
+    consecutive levels agree to 1e-12 (relative plus absolute).  Nodes
     whose mapped abscissa rounds to +/-1 are dropped, so f is never
     called at the endpoints.  Each level is one batch of nodes for
     ``Integrand.sample``; a plain callable is sampled node by node.  The
     oracle bypasses ``engine._eval_nodes``, so its samples stay out of the
-    quadrature sample count that perfbench traces there.  ``tol`` must be
-    finite and >= 1e-14.  A non-finite integrand value raises
-    IntegrandError naming its abscissa.
+    quadrature sample count that perfbench traces there.  A non-finite
+    integrand value raises IntegrandError naming its abscissa.
     """
-    if not (math.isfinite(tol) and tol >= 1e-14):
-        raise ConfigError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
     if not isinstance(f, Integrand):
         f = Integrand(f)
     h = 1.0
@@ -96,11 +94,11 @@ def tanh_sinh(f, tol: float = 1e-12) -> float:
     for level in range(1, _ORACLE_MAX_LEVELS + 1):
         h /= 2.0
         refined = value / 2.0 + h * _level_sum(f, level)
-        if abs(refined - value) < tol * (1.0 + abs(refined)):
+        if abs(refined - value) < _ORACLE_TOL * (1.0 + abs(refined)):
             return refined
         value = refined
     raise OracleError(
-        f"tanh-sinh failed to reach tolerance {tol} within {_ORACLE_MAX_LEVELS} refinements"
+        f"tanh-sinh failed to reach tolerance {_ORACLE_TOL} within {_ORACLE_MAX_LEVELS} refinements"
     )
 
 

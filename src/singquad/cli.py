@@ -22,16 +22,11 @@ from .transform import ChebGrid, cheb_coeffs
 __all__ = ["cli", "main"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise _UsageError(message)
+        self.exit(1, f"error: {message}\n")
 
 
 def _write_csv(records, path: str) -> None:
@@ -258,9 +253,7 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
     try:
         with warnings.catch_warnings():

@@ -33,12 +33,6 @@ __all__ = [
 ]
 
 
-def _non_finite(v, x) -> IntegrandError:
-    return IntegrandError(
-        f"integrand returned non-finite value {float(v)!r} at node {float(x)!r}", node=float(x)
-    )
-
-
 @dataclass(frozen=True)
 class Integrand:
     """A callable on [-1, 1] bundled with its optional singularity profile.
@@ -68,28 +62,30 @@ class Integrand:
         """Values at the nodes ``xs``: the one sampling routine.
 
         A vectorized integrand takes all nodes in one call; any other is
-        called once per node, in node order.  Either way the first
-        non-finite value raises IntegrandError naming its node.
+        called once per node, in node order, with a Python float, and not
+        past its first non-finite value.  Either way the values land in a
+        new float64 array that the caller owns, and the first non-finite
+        value raises IntegrandError naming its node.
         """
         xs = np.asarray(xs, dtype=float)
         if self.vectorized:
-            out = np.asarray(self.eval(xs), dtype=float)
-            if out.shape != xs.shape:
-                raise InputError(
-                    f"vectorized integrand returned shape {out.shape} for nodes of shape {xs.shape}"
-                )
-            finite = np.isfinite(out)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise _non_finite(out[i], xs[i])
-            return out
-        fn = self.eval
-        out = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            v = float(fn(float(x)))
-            if not math.isfinite(v):
-                raise _non_finite(v, x)
-            out[i] = v
+            out = np.array(self.eval(xs), dtype=float)
+        else:
+            fn = self.eval
+            out = np.full(xs.shape, np.nan)
+            for i, x in enumerate(xs.tolist()):
+                out[i] = v = float(fn(x))
+                if not math.isfinite(v):
+                    break
+        if out.shape != xs.shape:
+            raise InputError(
+                f"vectorized integrand returned shape {out.shape} for nodes of shape {xs.shape}"
+            )
+        finite = np.isfinite(out)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            v, x = float(out[i]), float(xs[i])
+            raise IntegrandError(f"integrand returned non-finite value {v!r} at node {x!r}", node=x)
         return out
 
 
@@ -124,7 +120,8 @@ class SampleCache:
     n >= 2 that divide the first doubling of N at or above n
     (:meth:`serves`); :meth:`ensure` raises SizeError for the rest.  One
     cache serves one integrand: the first ``ensure`` binds it, and a later
-    call with a different integrand raises ConfigError.
+    call with a different integrand raises ConfigError.  Stored samples are
+    read-only, like rules, so a view from :meth:`values_at` cannot alter them.
     """
 
     def __init__(self, base_n: int):
@@ -176,6 +173,7 @@ class SampleCache:
             new[::2] = self._values
             new[1::2] = _eval_nodes(f, np.cos(ChebGrid(doubled).angles[1::2]))
             self._values = new
+        self._values.setflags(write=False)
         return self.eval_count - before
 
     def values_at(self, n: int) -> np.ndarray:

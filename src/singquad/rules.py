@@ -98,8 +98,8 @@ def gl_rule(n: int) -> QuadratureRule:
     P_n(cos theta), mirrored to the other half, so the rule is exactly
     +/- symmetric (an odd rule's middle node is exactly 0.0).  Newton's
     method starts from Tricomi's initial guesses and runs in theta, or in
-    t = pi/2 - theta with x = sin(t) for interior nodes past pi/4: there
-    theta rounds near pi/2, which cost x up to 32 ulp at n = 200.  Interior
+    t = pi/2 - theta with x = sin(t) for every node past pi/4: there theta
+    rounds near pi/2, which cost x up to 32 ulp at n = 200.  Interior
     nodes evaluate P_n by the Stieltjes-Szego asymptotic expansion
     (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013); the nodes
     nearest the ends, and every node of a small rule, use the exact finite
@@ -120,14 +120,17 @@ def gl_rule(n: int) -> QuadratureRule:
         * np.cos(phi)
     )
     interior = 2.0 * (n + 0.5) * np.sin(theta) >= _INTERIOR_MIN
-    from_middle = interior & (theta > 0.25 * np.pi)
+    from_middle = theta > 0.25 * np.pi
     t = np.where(from_middle, 0.5 * np.pi - theta, theta)
     dp = np.empty_like(theta)
-    for part, evaluate in (
-        (interior, _interior_expansion(n, from_middle[interior])),
-        (~interior, _cosine_sum(n)),
+    for part, make, middle in (
+        (interior, _interior_expansion, from_middle[interior]),
+        (~interior & ~from_middle, _cosine_sum, False),
+        (~interior & from_middle, _cosine_sum, True),
     ):
-        u = t[part]
+        if not part.any():
+            continue
+        evaluate, u = make(n, middle), t[part]
         for _ in range(_NEWTON_STEPS):
             p, d = evaluate(u)
             step = p / d
@@ -183,18 +186,25 @@ def _interior_expansion(n: int, from_middle: np.ndarray):
     return evaluate
 
 
-def _cosine_sum(n: int):
-    """theta -> (P_n(cos theta), dP_n/dtheta) by the exact finite cosine sum.
+def _cosine_sum(n: int, from_middle: bool):
+    """t -> (P_n(cos theta), dP_n/dt) by the exact finite cosine sum.
 
-    The coefficients g_k g_{n-k} are positive and sum to P_n(1) = 1.
+    theta = pi/2 - t if ``from_middle``, else theta = t.  The coefficients
+    g_k g_{n-k} are positive and sum to P_n(1) = 1.  With m = n - 2k,
+    cos(m (pi/2 - t)) is (-1)^(m//2) cos(m t) for even n and
+    (-1)^(m//2) sin(m t) for odd n, so no rounded pi/2 enters.
     """
     j = np.arange(1.0, n + 1.0)
     g = np.cumprod(np.concatenate([[1.0], (2.0 * j - 1.0) / (2.0 * j)]))
     coef = g * g[::-1]
     freq = n - 2.0 * np.arange(n + 1)
+    if from_middle:
+        coef = coef * np.where(freq % 4 < 2, 1.0, -1.0)  # (-1)^(m//2)
 
-    def evaluate(theta):
-        angles = np.outer(theta, freq)
+    def evaluate(t):
+        angles = np.outer(t, freq)
+        if from_middle and n % 2:
+            return np.sin(angles) @ coef, np.cos(angles) @ (coef * freq)
         return np.cos(angles) @ coef, -(np.sin(angles) @ (coef * freq))
 
     return evaluate

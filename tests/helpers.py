@@ -368,10 +368,10 @@ def fd_second_derivative(F, F0, h=1e-2):
     return (4.0 * e(h / 2.0) - e(h)) / 3.0
 
 
-def split_reference(f, x0, tol=1e-12):
+def split_reference(f, x0):
     """Two-piece reference integral, each half through its affine map."""
     jl = (x0 + 1.0) / 2.0
     jr = (1.0 - x0) / 2.0
-    left = tanh_sinh(lambda u: f(-1.0 + jl * (u + 1.0)), tol)
-    right = tanh_sinh(lambda u: f(x0 + jr * (u + 1.0)), tol)
+    left = tanh_sinh(lambda u: f(-1.0 + jl * (u + 1.0)))
+    right = tanh_sinh(lambda u: f(x0 + jr * (u + 1.0)))
     return jl * left + jr * right

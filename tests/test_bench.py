@@ -46,13 +46,7 @@ def test_oracle_matches_closed_forms():
         (math.exp, math.e - 1.0 / math.e),
     ]
     for f, exact in cases:
-        assert abs(tanh_sinh(f, 1e-12) - exact) <= 1e-12
-
-
-@pytest.mark.parametrize("tol", [1e-15, math.nan, math.inf])
-def test_oracle_tolerance_validation(tol):
-    with pytest.raises(ConfigError):
-        tanh_sinh(math.exp, tol)
+        assert abs(tanh_sinh(f) - exact) <= 1e-12
 
 
 @pytest.mark.parametrize("text", ["abc", "1e-3"])
@@ -70,7 +64,7 @@ def test_oracle_ignores_the_environment(capsys, monkeypatch, text):
 def test_oracle_raises_on_non_convergence():
     # an interior algebraic singularity defeats endpoint-clustered nodes
     with pytest.raises(OracleError):
-        tanh_sinh(lambda x: abs(x - 0.1) ** -0.6, 1e-12)
+        tanh_sinh(lambda x: abs(x - 0.1) ** -0.6)
 
 
 def test_oracle_raises_on_the_first_non_finite_value():
@@ -81,7 +75,7 @@ def test_oracle_raises_on_the_first_non_finite_value():
         return math.nan if x > 0.5 else 1.0
 
     with pytest.raises(IntegrandError) as caught:
-        tanh_sinh(f, 1e-12)
+        tanh_sinh(f)
     bad = [x for x in nodes if x > 0.5]
     assert bad == [caught.value.node]
     assert str(caught.value.node) in str(caught.value)
@@ -94,8 +88,8 @@ def test_oracle_samples_one_batch_per_level():
         calls.append(x.size)
         return x * x
 
-    value = tanh_sinh(Integrand(square, vectorized=True), 1e-12)
-    assert value == tanh_sinh(lambda x: x * x, 1e-12)
+    value = tanh_sinh(Integrand(square, vectorized=True))
+    assert value == tanh_sinh(lambda x: x * x)
     assert abs(value - 2.0 / 3.0) <= 1e-14
     assert len(calls) >= 2 and calls[0] == tanh_sinh_abscissae(0).size
     assert sum(calls) == tanh_sinh_abscissae(len(calls) - 1).size
@@ -122,13 +116,6 @@ def test_quadrature_samples_alone_pass_through_eval_nodes(monkeypatch):
     records = run_experiment(ExperimentConfig(fn="F2a", n_values=(8, 16, 32)))
     assert len(records) == 12
     assert sum(sizes) == sum(r.evals for r in records)
-
-
-def test_oracle_self_consistency_across_tolerances():
-    for fn in corpus():
-        tight = tanh_sinh(fn.integrand, 1e-12)
-        loose = tanh_sinh(fn.integrand, 1e-10)
-        assert abs(tight - loose) <= 1e-9, fn.id
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +149,9 @@ def test_each_reference_runs_the_oracle_once_per_process(monkeypatch):
     # patch there (as perfbench's tracer makes) still sees the one call
     calls = []
 
-    def counting(f, tol=1e-12):
+    def counting(f):
         calls.append(f)
-        return tanh_sinh(f, tol)
+        return tanh_sinh(f)
 
     CorpusFunction.reference_value.cache_clear()
     monkeypatch.setattr(bench, "tanh_sinh", counting)
@@ -243,7 +230,7 @@ def test_stored_closed_forms_agree_with_the_oracle():
     for fid in ("F3a", "F3b"):
         fn = corpus_function(fid)
         assert fn.closed_form is not None
-        assert abs(fn.closed_form - tanh_sinh(fn.integrand, 1e-12)) <= 1e-12
+        assert abs(fn.closed_form - tanh_sinh(fn.integrand)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,42 @@ def test_vectorized_non_finite_value_names_the_first_node_in_node_order():
     assert str(batch.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("rule", [cc_rule_fast(8), gl_rule(7)], ids=["cc8", "gl7"])
+def test_scalar_integrand_is_called_once_per_node_in_node_order(rule):
+    seen = []
+    integrate(rule, lambda x: seen.append(x) or x)
+    assert seen == rule.nodes.tolist()
+    assert all(type(x) is float for x in seen)
+
+
+def test_scalar_integrand_is_not_called_past_the_first_non_finite_value():
+    rule = cc_rule_fast(8)
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.nan if x < 0.5 else x
+
+    with pytest.raises(IntegrandError) as info:
+        integrate(rule, f)
+    first = next(x for x in rule.nodes.tolist() if x < 0.5)
+    assert seen == rule.nodes.tolist()[: seen.index(first) + 1]
+    assert info.value.node == first
+
+
+def test_scalar_integrand_returning_none_raises_type_error():
+    with pytest.raises(TypeError):
+        integrate(cc_rule_fast(4), lambda x: None)
+
+
+def test_sample_returns_a_new_array_not_the_one_eval_returned():
+    buffer = np.empty(9)
+    f = Integrand(lambda x: np.exp(x, out=buffer), vectorized=True)
+    values = f.sample(ChebGrid(8).nodes)
+    assert values is not buffer and not np.shares_memory(values, buffer)
+    assert np.array_equal(values, buffer)
+
+
 def test_cache_refuses_a_second_integrand_object():
     cache = SampleCache(8)
     integrate(cc_rule_fast(8), corpus_function("F1a").integrand, cache)
@@ -195,6 +231,29 @@ def test_nested_samples_equal_fresh_samples_bit_for_bit(base, vectorized):
         nodes = ChebGrid(base * 2**k).nodes
         assert np.array_equal(cache.values_at(base * 2**k), f.sample(nodes))
         assert np.array_equal(f.sample(nodes), nodes)
+
+
+def test_cached_samples_are_read_only():
+    # A writable view once let `v *= 2` double the next n = 8 read of exp.
+    cache = SampleCache(8)
+    integrate(cc_rule_fast(16), math.exp, cache)
+    for n in (8, 16):
+        with pytest.raises(ValueError):
+            cache.values_at(n)[0] = 0.0
+    fresh = integrate(cc_rule_fast(8), math.exp).approx
+    assert integrate(cc_rule_fast(8), math.exp, cache).approx == fresh
+
+
+def test_a_reused_output_buffer_leaves_cached_samples_unchanged():
+    # The cache once kept the integrand's own array, so an unrelated
+    # 9-point call rewrote the cached n = 8 samples.
+    buffer = np.empty(9)
+    f = Integrand(lambda x: np.exp(x, out=buffer), vectorized=True)
+    cache = SampleCache(8)
+    before = integrate(cc_rule_fast(8), f, cache).approx
+    integrate(gl_rule(9), f)
+    after = integrate(cc_rule_fast(8), f, cache)
+    assert after.evals_used == 0 and after.approx == before
 
 
 def test_cache_size_validation():

@@ -92,7 +92,7 @@ def test_one_except_clause_catches_everything():
     with pytest.raises(SingquadError):
         singquad.cc_rule_fast(0)
     with pytest.raises(SingquadError):
-        singquad.tanh_sinh(lambda x: abs(x - 0.1) ** -0.6, 1e-12)
+        singquad.tanh_sinh(lambda x: abs(x - 0.1) ** -0.6)
 
 
 def test_readme_quick_start_runs_as_documented(capsys):

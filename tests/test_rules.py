@@ -107,6 +107,14 @@ def test_gl_rule_at_n5_integrates_x8():
 # three-term recurrence for P_n, started from the float64 node, until the
 # step fell below 1e-38; then w = 2 / ((1 - x^2) P_n'(x)^2).
 GL_REFERENCE = {
+    12: (
+        (4, "-0.36783149899818019375", "0.23349253653835480876"),
+        (5, "-0.12523340851146891547", "0.249147045813402785"),
+    ),
+    14: (
+        (5, "-0.31911236892788976044", "0.20519846372129560397"),
+        (6, "-0.10805494870734366207", "0.2152638534631577902"),
+    ),
     50: (
         (0, "-0.99886640442007105019", "0.0029086225531551409584"),
         (12, "-0.70155246870682225109", "0.044327504338803275492"),
