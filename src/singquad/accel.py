@@ -1,13 +1,10 @@
-"""Richardson extrapolation over nested Clenshaw-Curtis values, interior-point
-splitting, and rate fits.
+"""Richardson extrapolation over nested Clenshaw-Curtis values and rate fits.
 
 The extrapolation consumes an exponent ladder d_0 < d_1 < ...: level j+1
 combines values at sizes n and 2n through
 (2**(d_j+1) * R(j, 2n) - R(j, n)) / (2**(d_j+1) - 1), annihilating the
 n**(-d_j-1) error term.  All base values come from one shared sample
 cache, so q levels on base size n cost exactly 2**q * n + 1 evaluations.
-Splitting at an interior kink maps each half onto [-1, 1] and runs the same
-extrapolation there, at depth 0 (plain Clenshaw-Curtis) or above.
 """
 
 from __future__ import annotations
@@ -18,17 +15,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import Integrand, SampleCache, integrate
-from .errors import ConfigError, DomainError, InputError, InsufficientDataError
+from .engine import SampleCache, integrate
+from .errors import ConfigError, InputError, InsufficientDataError
 from .rules import cc_rule_fast
-from .singular import SingularityProfile, exponent_ladder
 
 __all__ = [
     "ExtrapolationTableau",
     "RateEstimate",
     "richardson",
     "extrapolate_rows",
-    "integrate_split",
     "fit_rate",
     "default_noise_floor",
 ]
@@ -128,43 +123,6 @@ def richardson(
     )
 
 
-def integrate_split(f, x0: float, n: int, q: int = 0, profiles=None) -> float:
-    """Integrate over [-1, 1] split at an interior kink x0.
-
-    Each half is mapped affinely onto [-1, 1] as an Integrand that samples
-    in batches when ``f`` is a vectorized Integrand.  Depth q = 0 applies the
-    (n+1)-point Clenshaw-Curtis rule to each half and ignores ``profiles``;
-    q >= 1 runs q extrapolation levels from base size n on each half and
-    needs one singularity profile per half (left, right), describing the
-    mapped integrand on that half; anything else there raises ConfigError.
-    """
-    if not -1.0 < x0 < 1.0:
-        raise DomainError(f"split point must lie strictly inside (-1, 1), got {x0}")
-    pair = isinstance(profiles, (tuple, list)) and len(profiles) == 2
-    if q != 0 and not (pair and all(isinstance(p, SingularityProfile) for p in profiles)):
-        raise ConfigError(
-            f"a split at depth q={q} needs (left, right) singularity profiles, got {profiles!r}"
-        )
-    parent = f if isinstance(f, Integrand) else Integrand(f)
-    p_left, p_right = profiles if q else (None, None)
-    halves = (
-        ((x0 + 1.0) / 2.0, (x0 - 1.0) / 2.0, p_left),
-        ((1.0 - x0) / 2.0, (x0 + 1.0) / 2.0, p_right),
-    )
-    total = 0.0
-    for jac, shift, profile in halves:
-        half = Integrand(
-            lambda u, jac=jac, shift=shift: parent.eval(jac * u + shift),
-            vectorized=parent.vectorized,
-        )
-        if q == 0:
-            value = integrate(cc_rule_fast(n), half).approx
-        else:
-            value = richardson(half, n, q, exponent_ladder(profile, q)).value
-        total += jac * value
-    return total
-
-
 @dataclass(frozen=True)
 class RateEstimate:
     """Fitted decay exponent p in |error| ~ C * n**(-p).
@@ -186,17 +144,19 @@ def default_noise_floor(reference: float = 0.0) -> float:
 def fit_rate(errors, noise_floor: Optional[float] = None) -> RateEstimate:
     """Least-squares slope of log|error| against log n.
 
-    ``errors`` is an iterable of (n, error) pairs with n >= 1 and a finite
-    error, else InputError; pairs with |error| at or below the noise floor
-    are discarded, and at least three distinct sizes must survive.
+    ``errors`` is an iterable of (n, error) pairs with an integral n >= 1
+    and a finite error, else InputError; pairs with |error| at or below the
+    noise floor are discarded, and at least three distinct sizes must survive.
     """
     if noise_floor is None:
         noise_floor = default_noise_floor()
     window = []
     discarded = []
     for n, err in errors:
-        if not (n >= 1 and math.isfinite(err)):
-            raise InputError(f"rate fit needs n >= 1 and a finite error, got {(n, err)!r}")
+        if not (n >= 1 and float(n).is_integer() and math.isfinite(err)):
+            raise InputError(
+                f"rate fit needs an integer n >= 1 and a finite error, got {(n, err)!r}"
+            )
         if abs(err) > noise_floor:
             window.append((int(n), float(err)))
         else:

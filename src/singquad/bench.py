@@ -2,8 +2,7 @@
 
 The corpus carries six endpoint-singular integrands with exact profile
 data.  References come from a tanh-sinh (double-exponential) oracle,
-which never evaluates the integrand at the endpoints; Beta-function
-closed forms, where they exist, are kept to cross-check it.  Experiments
+which never evaluates the integrand at the endpoints.  Experiments
 return a deterministic list of records, which ``render_csv`` writes as CSV.
 """
 
@@ -13,7 +12,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -111,22 +109,15 @@ class CorpusFunction:
     """One benchmark integrand with profile data.
 
     The reference is the deterministic tanh-sinh oracle, run once per
-    function per process.  A Beta-function closed form, where one exists,
-    is kept in ``closed_form`` so the two can be cross-checked.
+    function per process.
     """
 
     id: str
     integrand: Integrand
-    closed_form: Optional[float] = None
 
     @functools.cache
     def reference_value(self) -> float:
         return tanh_sinh(self.integrand)
-
-
-def _beta(a: float, b: float) -> float:
-    # math.gamma, not exp(lgamma): the log route costs up to 5e-16 relative
-    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
 # The corpus integrands take a float or an ndarray of nodes (Integrand
@@ -224,12 +215,10 @@ _CORPUS = (
     CorpusFunction(
         id="F3a",
         integrand=Integrand(_f3a, _arccos_profile(1), label="F3a", vectorized=True),
-        closed_form=_beta(0.75, 0.5),
     ),
     CorpusFunction(
         id="F3b",
         integrand=Integrand(_f3b, _arccos_profile(3), label="F3b", vectorized=True),
-        closed_form=_beta(7.0 / 12.0, 0.5),
     ),
 )
 

@@ -7,8 +7,8 @@ pairwise ``np.sum``.  Every sample in the package is taken by
 :meth:`Integrand.sample`: one call per batch of nodes for a vectorized
 integrand, one call per node for anything else.  Rules, caches and the
 CLI reach it through ``_eval_nodes``, which perfbench traces as
-``engine.sample``; the tanh-sinh oracle calls it directly, so that span
-counts quadrature samples only.
+``engine.sample``; the tanh-sinh oracle and the scalar call ``f(x)`` call
+it directly, so that span counts quadrature samples only.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class Integrand:
     With ``vectorized=False`` (the default) ``eval`` maps one float to one
     float and is called node by node.  With ``vectorized=True`` ``eval``
     maps an ndarray of nodes to an ndarray of values of the same shape, and
-    every batch of nodes costs one call.  Calling the integrand on a scalar
-    returns a Python float either way.
+    every batch of nodes costs one call.  ``f(x)`` is ``f.sample([x])[0]``
+    as a Python float: the same path and the same finiteness check.
     """
 
     eval: Callable
@@ -56,7 +56,7 @@ class Integrand:
             raise InputError(f"vectorized must be a bool, got {self.vectorized!r}")
 
     def __call__(self, x: float) -> float:
-        return float(self.eval(x))
+        return float(self.sample([x])[0])
 
     def sample(self, xs) -> np.ndarray:
         """Values at the nodes ``xs``: the one sampling routine.

@@ -165,9 +165,12 @@ def coeff_asymptote(p: SingularityProfile) -> tuple:
 
 
 def predict_coeff(p: SingularityProfile, n: int) -> float:
-    """Leading-order prediction of the n-th Chebyshev coefficient of ``p``."""
-    if n < 2:
-        raise DomainError(f"coefficient prediction needs n >= 2, got {n}")
+    """Leading-order prediction of the n-th Chebyshev coefficient of ``p``.
+
+    ``n`` must be an integer >= 2, else DomainError.
+    """
+    if not (n >= 2 and float(n).is_integer()):
+        raise DomainError(f"coefficient prediction needs an integer n >= 2, got {n}")
     n = int(n)
     terms = (
         (-c if alternating and n % 2 == 0 else c) * float(n) ** (-e)

@@ -38,25 +38,12 @@ class ChebGrid:
     def nodes(self) -> np.ndarray:
         return np.cos(self.angles)
 
-    def __len__(self) -> int:
-        return self.n + 1
-
-    def __repr__(self) -> str:
-        return f"ChebGrid(n={self.n})"
-
 
 @dataclass(frozen=True)
 class ChebCoeffs:
     """Chebyshev coefficients a_0..a_n in the halved-ends convention."""
 
     coeffs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
 
 def dct1(values) -> np.ndarray:

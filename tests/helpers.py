@@ -14,7 +14,6 @@ from math import comb, factorial
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from singquad.bench import tanh_sinh
 from singquad.errors import SizeError
 from singquad.rules import QuadratureRule, RuleKind
 from singquad.singular import coeff_asymptote
@@ -366,12 +365,3 @@ def fd_second_derivative(F, F0, h=1e-2):
         return 2.0 * d(s / 2.0) - d(s)
 
     return (4.0 * e(h / 2.0) - e(h)) / 3.0
-
-
-def split_reference(f, x0):
-    """Two-piece reference integral, each half through its affine map."""
-    jl = (x0 + 1.0) / 2.0
-    jr = (1.0 - x0) / 2.0
-    left = tanh_sinh(lambda u: f(-1.0 + jl * (u + 1.0)))
-    right = tanh_sinh(lambda u: f(x0 + jr * (u + 1.0)))
-    return jl * left + jr * right

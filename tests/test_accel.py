@@ -245,6 +245,13 @@ def test_fit_rate_rejects_non_finite_errors_and_sizes_below_one(bad):
         fit_rate(errors)
 
 
+@pytest.mark.parametrize("sizes", [(2.5, 5, 10), (5, 10, math.inf)])
+def test_fit_rate_rejects_sizes_that_are_not_integers(sizes):
+    # exact n**-3 data: truncating n = 2.5 to 2 would fit a slope of 2.568
+    with pytest.raises(InputError, match="integer n"):
+        fit_rate([(n, n**-3.0) for n in sizes])
+
+
 def test_default_noise_floor_scales_with_reference():
     eps = 2.0 ** (-52)
     assert default_noise_floor() == 100.0 * eps

@@ -1,17 +1,15 @@
-"""Quadrature application, caching, aliasing identity, and accel's interval splitting."""
+"""Quadrature application, caching, and the aliasing identity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import cc_rule_direct, split_reference
-from singquad.accel import integrate_split
+from helpers import cc_rule_direct
 from singquad.bench import corpus_function
 from singquad.engine import Integrand, SampleCache, aliasing_error, integrate
 from singquad.errors import ConfigError, DomainError, InputError, IntegrandError, SizeError
 from singquad.rules import RuleKind, cc_rule_fast, gl_rule
-from singquad.singular import SingularityProfile
 from singquad.transform import ChebGrid
 
 
@@ -93,6 +91,19 @@ def test_integrand_call_on_a_scalar_returns_a_python_float(vectorized):
     f = Integrand(lambda x: np.where(x > 0.0, x, 0.0), vectorized=vectorized)
     assert type(f(0.5)) is float and f(0.5) == 0.5
     assert type(f(-1)) is float and f(-1) == 0.0
+
+
+def test_integrand_call_is_a_one_node_sample():
+    # numpy rounds (1 - x)**0.5 differently on a scalar and on an array here
+    f = corpus_function("F1a").integrand
+    x = 0.15994036112818955
+    assert f(x) == f.sample([x])[0]
+
+
+def test_integrand_call_raises_on_a_non_finite_value_naming_its_node():
+    with pytest.raises(IntegrandError, match="non-finite") as info:
+        Integrand(lambda x: math.nan)(0.5)
+    assert info.value.node == 0.5
 
 
 @pytest.mark.parametrize("flag", [1, 0, "yes", None, np.bool_(True)])
@@ -344,61 +355,9 @@ def test_aliasing_argument_validation():
     ids=["F1a", "cos200x", "one"],
 )
 def test_weight_space_sum_tracks_fsum(f):
+    sample = (f if isinstance(f, Integrand) else Integrand(f)).sample
     for n in (4096, 65536):
         rule = cc_rule_fast(n)
-        products = rule.weights * np.array([f(float(x)) for x in rule.nodes])
+        products = rule.weights * sample(rule.nodes)
         err = abs(integrate(rule, f).approx - math.fsum(products))
         assert err <= 2e-15 * math.fsum(np.abs(products)), n
-
-
-# ---------------------------------------------------------------------------
-# interval splitting
-
-
-def test_split_at_a_kink_restores_polynomial_exactness():
-    assert abs(integrate_split(abs, 0.0, 8) - 1.0) <= 1e-13
-
-
-def test_split_of_a_constant():
-    assert integrate_split(lambda x: 1.0, 0.3, 8) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_split_interior_root_singularity_against_reference():
-    f = lambda x: math.sqrt(abs(x - 0.25))
-    got = integrate_split(f, 0.25, 256)
-    assert abs(got - split_reference(f, 0.25)) <= 1e-5
-
-
-def test_split_with_extrapolation_reaches_near_machine_accuracy():
-    f = lambda x: math.sqrt(abs(x - 0.25))
-    profiles = (SingularityProfile(0.5, 0.0), SingularityProfile(0.0, 0.5))
-    got = integrate_split(f, 0.25, 64, q=2, profiles=profiles)
-    exact = (2.0 / 3.0) * (1.25**1.5 + 0.75**1.5)
-    assert abs(got - exact) <= 1e-12
-
-
-def test_split_of_a_vectorized_integrand_samples_each_half_in_one_batch():
-    poly = lambda x: x * x * x - 2.0 * x + 0.5
-    body = BatchCounter(poly)
-    got = integrate_split(Integrand(body, vectorized=True), 0.3, 8)
-    assert got == integrate_split(poly, 0.3, 8)
-    assert body.batches == [9, 9]
-
-
-def test_split_argument_validation():
-    with pytest.raises(DomainError):
-        integrate_split(abs, 1.5, 8)
-    with pytest.raises(DomainError):
-        integrate_split(abs, -1.0, 8)
-    with pytest.raises(ConfigError):
-        integrate_split(abs, 0.0, 8, q=1)  # profiles missing
-
-
-@pytest.mark.parametrize(
-    "profiles", [(SingularityProfile(0.5, 0.0), None), (SingularityProfile(0.5, 0.0),)]
-)
-def test_split_rejects_anything_but_a_pair_of_profiles(profiles):
-    with pytest.raises(ConfigError, match="singularity profiles"):
-        integrate_split(abs, 0.0, 8, q=1, profiles=profiles)
-    # depth 0 reads no profiles
-    assert integrate_split(abs, 0.0, 8, profiles=profiles) == integrate_split(abs, 0.0, 8)

