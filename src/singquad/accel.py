@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import SampleCache, integrate
-from .errors import ConfigError, InputError, InsufficientDataError
+from .errors import ConfigError, InputError, InsufficientDataError, _size
 from .rules import cc_rule_fast
 
 __all__ = [
@@ -102,8 +102,8 @@ def richardson(
     ``base_n`` is created unless one is passed in; the cache decides which
     sizes it serves and raises SizeError for the rest.
     """
-    if q < 0:
-        raise ConfigError(f"extrapolation depth must be >= 0, got {q}")
+    base_n = _size(base_n, 1, what="base size must be an integer")
+    q = _size(q, 0, ConfigError, "extrapolation depth must be an integer")
     ladder = _check_ladder(ladder, q)
     if cache is None:
         cache = SampleCache(base_n)
@@ -153,14 +153,10 @@ def fit_rate(errors, noise_floor: Optional[float] = None) -> RateEstimate:
     window = []
     discarded = []
     for n, err in errors:
-        if not (n >= 1 and float(n).is_integer() and math.isfinite(err)):
-            raise InputError(
-                f"rate fit needs an integer n >= 1 and a finite error, got {(n, err)!r}"
-            )
-        if abs(err) > noise_floor:
-            window.append((int(n), float(err)))
-        else:
-            discarded.append((int(n), float(err)))
+        if not math.isfinite(err):
+            raise InputError(f"rate fit needs a finite error, got {(n, err)!r}")
+        n = _size(n, 1, InputError, "rate fit needs an integer n", got=(n, err))
+        (window if abs(err) > noise_floor else discarded).append((n, float(err)))
     if len({n for n, _ in window}) < 3:
         raise InsufficientDataError(
             f"rate fit needs >= 3 points above the noise floor, got {len(window)}"

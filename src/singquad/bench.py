@@ -17,7 +17,7 @@ import numpy as np
 
 from .accel import richardson
 from .engine import Integrand, SampleCache, integrate
-from .errors import ConfigError, OracleError, SingquadError
+from .errors import ConfigError, OracleError, SingquadError, _size
 from .rules import gl_rule
 from .singular import SingularityProfile, exponent_ladder
 
@@ -261,8 +261,9 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate methods in {self.methods}")
         if not self.n_values:
             raise ConfigError("n_values must be non-empty")
-        if any(n < 2 or n % 2 for n in self.n_values):
-            raise ConfigError(f"n_values must be even and >= 2, got {self.n_values}")
+        what = "n_values must be even integers"
+        sizes = tuple(_size(n, 2, ConfigError, what, even=True) for n in self.n_values)
+        object.__setattr__(self, "n_values", sizes)
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ConfigError(f"n_values must increase strictly, got {self.n_values}")
 

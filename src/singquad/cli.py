@@ -14,7 +14,7 @@ import warnings
 from . import bench
 from .accel import richardson
 from .engine import _eval_nodes, integrate
-from .errors import ConfigError, NumericError, SingquadError
+from .errors import ConfigError, NumericError, SingquadError, _size
 from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, classify_s, exponent_ladder, predict_coeff
 from .transform import ChebGrid, cheb_coeffs
@@ -105,9 +105,8 @@ _FIGURES = {1: ("F1a", "F1b"), 2: ("F2a", "F2b"), 3: ("F3a", "F3b")}
 
 
 def _cmd_reproduce(args) -> int:
-    if args.max_n < 8:
-        raise SingquadError(f"--max-n must be >= 8, got {args.max_n}")
-    n_values = tuple(8 * 2**k for k in range((args.max_n // 8).bit_length()))
+    max_n = _size(args.max_n, 8, ConfigError, "--max-n must be")
+    n_values = tuple(8 * 2**k for k in range((max_n // 8).bit_length()))
     fn_ids = _FIGURES[args.figure]
     os.makedirs(args.out, exist_ok=True)
     for fn_id in fn_ids:
@@ -122,6 +121,7 @@ def _cmd_experiment(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
             kwargs = parse_config_text(handle.read())
+    out = kwargs.pop("out", None)
     # flags win over config-file values
     if args.fn is not None:
         kwargs["fn"] = args.fn
@@ -130,10 +130,9 @@ def _cmd_experiment(args) -> int:
     if args.n is not None:
         kwargs["n_values"] = parse_n_spec(args.n)
     if args.out is not None:
-        kwargs["out"] = args.out
-    out = kwargs.pop("out", None)
+        out = args.out
     if "fn" not in kwargs:
-        raise SingquadError("an experiment needs a corpus function: set fn in the config or --fn")
+        raise ConfigError("an experiment needs a corpus function: set fn in the config or --fn")
     records = bench.run_experiment(bench.ExperimentConfig(**kwargs))
     if out is None:
         sys.stdout.write(bench.render_csv(records))

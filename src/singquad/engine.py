@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InputError, IntegrandError, SizeError
+from .errors import ConfigError, DomainError, InputError, IntegrandError, SizeError, _size
 from .rules import QuadratureRule, RuleKind
 from .singular import SingularityProfile
 from .transform import ChebGrid
@@ -125,9 +125,7 @@ class SampleCache:
     """
 
     def __init__(self, base_n: int):
-        if base_n < 2 or base_n % 2:
-            raise SizeError(f"cache base size must be even and >= 2, got {base_n}")
-        self.base_n = int(base_n)
+        self.base_n = _size(base_n, 2, what="cache base size must be an even integer", even=True)
         self._values: Optional[np.ndarray] = None
         self._f = None
 
@@ -140,26 +138,27 @@ class SampleCache:
         """Evaluations made so far: one per stored sample."""
         return 0 if self._values is None else len(self._values)
 
-    def _target(self, n: int) -> Optional[int]:
-        """The finest size that serving ``n`` needs, or None if the cache cannot serve it."""
-        if n < 2 or n % 2:
-            return None
+    def _target(self, n: int) -> int:
+        """The finest size that serving ``n`` needs; SizeError if the cache cannot serve it."""
+        n = _size(n, 2, what="a cached size must be an even integer", even=True)
         target = self.finest_n
         while target < n:
             target *= 2
-        return None if target % n else target
+        if target % n:
+            raise SizeError(f"size {n} does not divide a doubling of {self.finest_n}")
+        return target
 
     def serves(self, n: int) -> bool:
         """Whether :meth:`ensure` can make size ``n`` available."""
-        return self._target(n) is not None
+        try:
+            self._target(n)
+        except SizeError:
+            return False
+        return True
 
     def ensure(self, f, n: int) -> int:
         """Make size ``n`` available; return the number of new evaluations."""
         target = self._target(n)
-        if target is None:
-            raise SizeError(
-                f"size {n} is not an even size >= 2 dividing a doubling of {self.finest_n}"
-            )
         # == rather than is: bound methods are rebuilt on every attribute access.
         if self._values is not None and f is not self._f and f != self._f:
             raise ConfigError("sample cache already holds samples of a different integrand")
@@ -179,10 +178,9 @@ class SampleCache:
     def values_at(self, n: int) -> np.ndarray:
         if self._values is None:
             raise SizeError("cache is empty; call ensure() first")
-        if n < 1 or self.finest_n % n:
-            raise SizeError(
-                f"size {n} is not a positive divisor of the cached finest size {self.finest_n}"
-            )
+        n = _size(n, 1, what="a cached size must be an integer")
+        if self.finest_n % n:
+            raise SizeError(f"size {n} does not divide the cached finest size {self.finest_n}")
         return self._values[:: self.finest_n // n]
 
 
@@ -211,10 +209,8 @@ def aliasing_error(n: int, m: int) -> float:
     m = 2jn + 2r with j >= 1 and 1-n <= 2r <= n; the error is
     2/(1-m^2) - 2/(1-4r^2).
     """
-    if n < 2 or n % 2:
-        raise SizeError(f"the aliasing identity needs even n >= 2, got {n}")
-    if m < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {m}")
+    n = _size(n, 2, what="the aliasing identity needs an even integer n", even=True)
+    m = _size(m, 0, DomainError, "the polynomial degree must be an integer")
     if m % 2 or m <= n:
         return 0.0
     q, t = divmod(m, 2 * n)

@@ -56,3 +56,16 @@ class IntegrandError(NumericError):
 
 class OracleError(NumericError):
     """Reference oracle failed to converge to the requested tolerance."""
+
+
+def _size(n, minimum, error=SizeError, what="size must be an integer", even=False, got=None) -> int:
+    """The one size rule: ``int(n)`` for a real, finite, integral n >= minimum (even if ``even``).
+
+    Else raises ``error(f"{what} >= {minimum}, got {n!r}")``, showing ``got`` for n if given.
+    """
+    try:
+        if (type(n) is int or float(n).is_integer()) and n >= minimum and not (even and n % 2):
+            return int(n)
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{what} >= {minimum}, got {n if got is None else got!r}")

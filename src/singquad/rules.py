@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, SizeError
+from .errors import NumericError, _size
 from .transform import ChebGrid, dct1
 
 __all__ = [
@@ -58,7 +58,15 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memoized(build):
+    """``build`` memoized on its size, checked and made an int first so 8 and 8.0 share a rule."""
+    memo = functools.lru_cache(maxsize=_MEMO_SIZE)(build)
+    rule = functools.wraps(build)(lambda n: memo(_size(n, 1, what="rule size must be an integer")))
+    rule.cache_info, rule.cache_clear = memo.cache_info, memo.cache_clear
+    return rule
+
+
+@_memoized
 def cc_rule_fast(n: int) -> QuadratureRule:
     """Clenshaw-Curtis rule in O(n log n) via one DCT-I, for any n >= 1.
 
@@ -69,8 +77,6 @@ def cc_rule_fast(n: int) -> QuadratureRule:
     ``cc_rule_fast.cache_info()`` counts rules built (misses) and reused
     (hits).
     """
-    if n < 1:
-        raise SizeError(f"rule size must be >= 1, got {n}")
     k = np.arange(0, n + 1, 2)
     v = np.zeros(n + 1)
     v[::2] = 2.0 / (1.0 - k * k)
@@ -90,7 +96,7 @@ _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-12  # relative to theta; the step after it is below rounding
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memoized
 def gl_rule(n: int) -> QuadratureRule:
     """Gauss-Legendre rule in O(n) work, nodes increasing.
 
@@ -111,8 +117,6 @@ def gl_rule(n: int) -> QuadratureRule:
     ``gl_rule.cache_info()`` counts rules built (misses) and reused (hits).
     Raises NumericError if Newton's method does not converge.
     """
-    if n < 1:
-        raise SizeError(f"rule size must be >= 1, got {n}")
     k = np.arange(1, (n + 1) // 2 + 1)
     phi = (4.0 * k - 1.0) * np.pi / (4.0 * n + 2.0)
     theta = np.arccos(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, ProfileError
+from .errors import ConfigError, DomainError, ProfileError, _size
 
 __all__ = [
     "SingularityProfile",
@@ -105,8 +105,7 @@ def exponent_ladder(p: SingularityProfile, count: int) -> tuple:
     {2*e + 2j + 1}; the families are merged, sorted, and deduplicated, so
     d_0 = s + 1.
     """
-    if count < 1:
-        raise ConfigError(f"ladder length must be >= 1, got {count}")
+    count = _size(count, 1, ConfigError, "ladder length must be an integer")
     values = sorted(
         2.0 * e + 2.0 * j + 1.0 for e, _ in _branch_exponents(p) for j in range(count)
     )
@@ -169,9 +168,7 @@ def predict_coeff(p: SingularityProfile, n: int) -> float:
 
     ``n`` must be an integer >= 2, else DomainError.
     """
-    if not (n >= 2 and float(n).is_integer()):
-        raise DomainError(f"coefficient prediction needs an integer n >= 2, got {n}")
-    n = int(n)
+    n = _size(n, 2, DomainError, "coefficient prediction needs an integer n")
     terms = (
         (-c if alternating and n % 2 == 0 else c) * float(n) ** (-e)
         for c, e, alternating in coeff_asymptote(p)

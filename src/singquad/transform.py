@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import DomainError, InputError, SizeError
+from .errors import DomainError, InputError, _size
 
 __all__ = [
     "ChebGrid",
@@ -29,9 +29,7 @@ class ChebGrid:
     __slots__ = ("n", "angles")
 
     def __init__(self, n: int):
-        if n < 1:
-            raise SizeError(f"grid size must be >= 1, got {n}")
-        self.n = int(n)
+        self.n = _size(n, 1, what="grid size must be an integer")
         self.angles = np.linspace(0.0, np.pi, self.n + 1)
 
     @property
@@ -118,18 +116,13 @@ def cheb_eval(coeffs, x):
     DomainError
         If any point lies outside [-1, 1] or is NaN.
     """
-    a = np.asarray(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs, dtype=float)
+    a = np.array(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs, dtype=float)
     if a.size == 0:
         raise InputError("cheb_eval needs at least one coefficient, got an empty coefficient array")
     xv = np.asarray(x, dtype=float)
     # Phrased so that NaN fails the test as well.
     if not np.all(np.abs(xv) <= 1.0):
         raise DomainError("cheb_eval requires |x| <= 1")
-    if a.size == 1:  # n = 0: a_0 is both end terms but is halved once
-        out = np.full_like(xv, 0.5 * a[0])
-    else:
-        c = a.copy()
-        c[0] *= 0.5
-        c[-1] *= 0.5
-        out = chebval(xv, c)
+    a[[0, -1]] *= 0.5  # a copy; for n = 0, a_0 is both end terms and is halved once
+    out = chebval(xv, a)
     return float(out) if xv.ndim == 0 else out

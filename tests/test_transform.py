@@ -201,6 +201,13 @@ def test_eval_basis_polynomial_at_right_endpoint():
     )
 
 
+def test_eval_of_one_coefficient_halves_it_once_and_leaves_the_input_alone():
+    coeffs = np.array([3.0])
+    assert cheb_eval(coeffs, 0.5) == 1.5
+    assert cheb_eval(coeffs, np.array([-1.0, 1.0])).tolist() == [1.5, 1.5]
+    assert coeffs.tolist() == [3.0]
+
+
 def test_eval_constant_everywhere():
     coeffs = np.zeros(6)
     coeffs[0] = 2.0
