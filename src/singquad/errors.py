@@ -63,8 +63,10 @@ def _size(n, minimum, error=SizeError, what="size must be an integer", even=Fals
 
     Else raises ``error(f"{what} >= {minimum}, got {n!r}")``, showing ``got`` for n if given.
     """
+    if type(n) is int and n >= minimum and not (even and n % 2):
+        return n
     try:
-        if (type(n) is int or float(n).is_integer()) and n >= minimum and not (even and n % 2):
+        if n >= minimum and float(n).is_integer() and not (even and n % 2):
             return int(n)
     except (TypeError, ValueError):
         pass

@@ -58,15 +58,7 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _memoized(build):
-    """``build`` memoized on its size, checked and made an int first so 8 and 8.0 share a rule."""
-    memo = functools.lru_cache(maxsize=_MEMO_SIZE)(build)
-    rule = functools.wraps(build)(lambda n: memo(_size(n, 1, what="rule size must be an integer")))
-    rule.cache_info, rule.cache_clear = memo.cache_info, memo.cache_clear
-    return rule
-
-
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def cc_rule_fast(n: int) -> QuadratureRule:
     """Clenshaw-Curtis rule in O(n log n) via one DCT-I, for any n >= 1.
 
@@ -77,6 +69,9 @@ def cc_rule_fast(n: int) -> QuadratureRule:
     ``cc_rule_fast.cache_info()`` counts rules built (misses) and reused
     (hits).
     """
+    size = _size(n, 1, what="rule size must be an integer")
+    if size is not n:  # 8.0 or numpy.int64(8): the memo entry of the int holds the rule
+        return cc_rule_fast(size)
     k = np.arange(0, n + 1, 2)
     v = np.zeros(n + 1)
     v[::2] = 2.0 / (1.0 - k * k)
@@ -96,7 +91,7 @@ _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-12  # relative to theta; the step after it is below rounding
 
 
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def gl_rule(n: int) -> QuadratureRule:
     """Gauss-Legendre rule in O(n) work, nodes increasing.
 
@@ -117,6 +112,9 @@ def gl_rule(n: int) -> QuadratureRule:
     ``gl_rule.cache_info()`` counts rules built (misses) and reused (hits).
     Raises NumericError if Newton's method does not converge.
     """
+    size = _size(n, 1, what="rule size must be an integer")
+    if size is not n:  # 8.0 or numpy.int64(8): the memo entry of the int holds the rule
+        return gl_rule(size)
     k = np.arange(1, (n + 1) // 2 + 1)
     phi = (4.0 * k - 1.0) * np.pi / (4.0 * n + 2.0)
     theta = np.arccos(
