@@ -14,7 +14,7 @@ import warnings
 from . import bench
 from .accel import richardson
 from .engine import _eval_nodes, integrate
-from .errors import ConfigError, NumericError, SingquadError, _size
+from .errors import ConfigError, DomainError, NumericError, SingquadError, _size
 from .rules import cc_rule_fast, gl_rule
 from .singular import SingularityProfile, classify_s, exponent_ladder, predict_coeff
 from .transform import ChebGrid, cheb_coeffs
@@ -78,7 +78,10 @@ def _cmd_coeffs(args) -> int:
     coeffs = cheb_coeffs(samples).coeffs
     print("k,coeff,predicted")
     for k in range(args.n + 1):
-        predicted = repr(predict_coeff(f.profile, k)) if k >= 2 else ""
+        try:
+            predicted = repr(predict_coeff(f.profile, k))
+        except DomainError:  # no prediction below its minimum k
+            predicted = ""
         print(f"{k},{coeffs[k]:.17g},{predicted}")
     return 0
 

@@ -1,11 +1,11 @@
-"""Chebyshev-Lobatto grids, the DCT-I, and Chebyshev coefficient transforms."""
+"""Chebyshev-Lobatto grids, the DCT-I, Chebyshev coefficient transforms, and
+barycentric evaluation on the grid (Berrut & Trefethen 2004; Higham 2004)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError, InputError, _size
 
@@ -16,6 +16,10 @@ __all__ = [
     "cheb_coeffs",
     "cheb_eval",
 ]
+
+# Points per cheb_eval block are chosen so that the points-by-nodes work
+# array holds at most this many elements (128 KB), whatever the degree.
+_BLOCK_ELEMENTS = 16384
 
 
 class ChebGrid:
@@ -91,10 +95,15 @@ def cheb_coeffs(samples) -> ChebCoeffs:
 
 
 def cheb_eval(coeffs, x):
-    """Evaluate a halved-ends Chebyshev sum by Clenshaw's recurrence.
+    """Evaluate a halved-ends Chebyshev sum by the barycentric formula.
 
-    Both halved end terms are folded into a copy of the coefficients, and
-    one vectorized backward recurrence runs over all points at once.
+    The values v = dct1(a) on the Lobatto grid x_j = cos(j*pi/n) give
+    p(x) = sum_j w_j v_j / (x - x_j) / sum_j w_j / (x - x_j), with
+    w_j = (-1)^j halved at j = 0 and j = n: the second-kind formula
+    (Berrut & Trefethen, SIAM Review 46(3), 2004), forward stable on
+    these points (Higham, IMA J. Numer. Anal. 24, 2004).  A point equal
+    to a node returns that node's value.  Points run in blocks of bounded
+    size, and a point's value does not depend on its block.
 
     Parameters
     ----------
@@ -107,22 +116,49 @@ def cheb_eval(coeffs, x):
     -------
     float or numpy.ndarray
         The sum a_0/2 + sum_{k=1}^{n-1} a_k T_k(x) + a_n T_n(x) / 2,
-        scalar for scalar x.
+        scalar for scalar x and of x's shape otherwise.
 
     Raises
     ------
     InputError
-        If the coefficient array is empty.
+        If the coefficient array is empty or a coefficient is not finite.
     DomainError
         If any point lies outside [-1, 1] or is NaN.
     """
-    a = np.array(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs, dtype=float)
+    a = np.asarray(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs, dtype=float)
     if a.size == 0:
         raise InputError("cheb_eval needs at least one coefficient, got an empty coefficient array")
+    if not np.isfinite(a).all():
+        bad = int(np.flatnonzero(~np.isfinite(a))[0])
+        raise InputError(f"non-finite coefficient at index {bad}")
     xv = np.asarray(x, dtype=float)
     # Phrased so that NaN fails the test as well.
     if not np.all(np.abs(xv) <= 1.0):
         raise DomainError("cheb_eval requires |x| <= 1")
-    a[[0, -1]] *= 0.5  # a copy; for n = 0, a_0 is both end terms and is halved once
-    out = chebval(xv, a)
+    n = a.size - 1
+    if n == 0:  # a_0 is both end terms and is halved once
+        out = np.full(xv.shape, 0.5 * a[0])
+    else:
+        out = _barycentric(dct1(a), ChebGrid(n).nodes, xv.ravel()).reshape(xv.shape)
     return float(out) if xv.ndim == 0 else out
+
+
+def _barycentric(values, nodes, points):
+    weights = np.resize([1.0, -1.0], nodes.size)
+    weights[[0, -1]] *= 0.5
+    out = np.empty(points.size)
+    rows = max(1, _BLOCK_ELEMENTS // nodes.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, points.size, rows):
+            block = points[start : start + rows]
+            d = np.subtract.outer(block, nodes)
+            np.divide(weights, d, out=d)
+            denom = d.sum(axis=1)
+            d *= values
+            res = d.sum(axis=1) / denom
+            # A point equal to a node divides by zero there and gives NaN.
+            hit = np.isnan(res)
+            if hit.any():
+                res[hit] = values[(block[hit, None] == nodes).argmax(axis=1)]
+            out[start : start + rows] = res
+    return out

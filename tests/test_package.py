@@ -64,12 +64,16 @@ def test_export_surface_is_frozen_and_import_skips_the_cli():
     for name in EXPORTS:
         assert getattr(singquad, name) is not None, name
     # a fresh interpreter: importing the package must not pull in the CLI,
-    # nor the exact rational arithmetic that only the test identities use
-    probe = "import sys, singquad; print([m in sys.modules for m in ('singquad.cli', 'fractions')])"
+    # the exact rational arithmetic that only the test identities use, nor
+    # numpy.polynomial, which only the tests' reference evaluation uses
+    probe = (
+        "import sys, singquad; print([m in sys.modules for m in ('singquad.cli', 'fractions')],"
+        " sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[False, False]"
+    assert out.strip() == "[False, False] []"
 
 
 def test_value_style_errors_are_valueerrors():
