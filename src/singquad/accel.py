@@ -70,12 +70,11 @@ class ExtrapolationTableau:
     ``rows[j][k]`` holds R(j, 2**k * base_n); ``rows[0]`` are the raw
     Clenshaw-Curtis values and ``rows[q][0]`` is the final accelerated
     value.  Entries are recomputable bit-for-bit from row 0 and the
-    ladder via :func:`extrapolate_rows`.
+    caller's ladder via :func:`extrapolate_rows`.
     """
 
     base_n: int
     q: int
-    ladder: tuple
     rows: tuple
     evals_used: int = field(compare=False, default=0)
 
@@ -114,13 +113,7 @@ def richardson(
         row0.append(result.approx)
         evals += result.evals_used
     rows = extrapolate_rows(row0, ladder)
-    return ExtrapolationTableau(
-        base_n=base_n,
-        q=q,
-        ladder=ladder,
-        rows=tuple(tuple(r) for r in rows),
-        evals_used=evals,
-    )
+    return ExtrapolationTableau(base_n, q, tuple(tuple(r) for r in rows), evals)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ from .rules import gl_rule
 from .singular import SingularityProfile, exponent_ladder
 
 __all__ = [
-    "CorpusFunction",
     "ExperimentConfig",
     "ConvergenceRecord",
     "tanh_sinh",
     "corpus",
     "corpus_function",
+    "corpus_reference",
     "run_experiment",
 ]
 
@@ -102,22 +102,6 @@ def tanh_sinh(f) -> float:
 
 # ---------------------------------------------------------------------------
 # corpus
-
-
-@dataclass(frozen=True)
-class CorpusFunction:
-    """One benchmark integrand with profile data.
-
-    The reference is the deterministic tanh-sinh oracle, run once per
-    function per process.
-    """
-
-    id: str
-    integrand: Integrand
-
-    @functools.cache
-    def reference_value(self) -> float:
-        return tanh_sinh(self.integrand)
 
 
 # The corpus integrands take a float or an ndarray of nodes (Integrand
@@ -196,47 +180,36 @@ def _log_profile(beta: float) -> SingularityProfile:
 
 
 _CORPUS = (
-    CorpusFunction(
-        id="F1a",
-        integrand=Integrand(_f1a, _exp_profile(0.5, 0.0), label="F1a", vectorized=True),
-    ),
-    CorpusFunction(
-        id="F1b",
-        integrand=Integrand(_f1b, _exp_profile(0.75, 0.25), label="F1b", vectorized=True),
-    ),
-    CorpusFunction(
-        id="F2a",
-        integrand=Integrand(_f2a, _log_profile(0.0), label="F2a", vectorized=True),
-    ),
-    CorpusFunction(
-        id="F2b",
-        integrand=Integrand(_f2b, _log_profile(0.5), label="F2b", vectorized=True),
-    ),
-    CorpusFunction(
-        id="F3a",
-        integrand=Integrand(_f3a, _arccos_profile(1), label="F3a", vectorized=True),
-    ),
-    CorpusFunction(
-        id="F3b",
-        integrand=Integrand(_f3b, _arccos_profile(3), label="F3b", vectorized=True),
-    ),
+    Integrand(_f1a, _exp_profile(0.5, 0.0), label="F1a", vectorized=True),
+    Integrand(_f1b, _exp_profile(0.75, 0.25), label="F1b", vectorized=True),
+    Integrand(_f2a, _log_profile(0.0), label="F2a", vectorized=True),
+    Integrand(_f2b, _log_profile(0.5), label="F2b", vectorized=True),
+    Integrand(_f3a, _arccos_profile(1), label="F3a", vectorized=True),
+    Integrand(_f3b, _arccos_profile(3), label="F3b", vectorized=True),
 )
 
-_BY_ID = {c.id: c for c in _CORPUS}
+_BY_ID = {f.label: f for f in _CORPUS}
 
 
 def corpus() -> tuple:
-    """The six benchmark integrands, in fixed order."""
+    """The six benchmark integrands, in fixed order, each labelled with its id."""
     return _CORPUS
 
 
-def corpus_function(fn_id: str) -> CorpusFunction:
+def corpus_function(fn_id: str) -> Integrand:
+    """The corpus integrand labelled ``fn_id``; ConfigError for an unknown id."""
     try:
         return _BY_ID[fn_id]
     except KeyError:
         raise ConfigError(
             f"unknown corpus function {fn_id!r}; known ids: {', '.join(_BY_ID)}"
         ) from None
+
+
+@functools.cache
+def corpus_reference(fn_id: str) -> float:
+    """The tanh-sinh reference of corpus function ``fn_id``, computed once per process."""
+    return tanh_sinh(corpus_function(fn_id))
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +266,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     Records come out in deterministic (method, n) order, methods in
     canonical order.
     """
-    function = corpus_function(cfg.fn)
-    f = function.integrand
-    reference = function.reference_value()
+    f = corpus_function(cfg.fn)
+    reference = corpus_reference(cfg.fn)
     records: list = []
     for method in (m for m in METHOD_ORDER if m in cfg.methods):
         caches: list = []

@@ -41,7 +41,7 @@ def _floats(values) -> str:
 
 def _cmd_rule(args) -> int:
     rule = cc_rule_fast(args.n) if args.kind == "cc" else gl_rule(args.n)
-    print(f"kind: {rule.kind.value}")
+    print(f"kind: {rule.kind}")
     print(f"n: {rule.n}")
     print(f"nodes: {_floats(rule.nodes)}")
     print(f"weights: {_floats(rule.weights)}")
@@ -49,14 +49,13 @@ def _cmd_rule(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    function = bench.corpus_function(args.fn)
-    f = function.integrand
+    f = bench.corpus_function(args.fn)
     rule = gl_rule(args.n) if args.method == "gl" else cc_rule_fast(args.n)
     result = integrate(rule, f)
-    reference = function.reference_value()
+    reference = bench.corpus_reference(args.fn)
     print(f"fn: {args.fn}")
     print(f"method: {args.method}")
-    print(f"n: {result.n}")
+    print(f"n: {rule.n}")
     print(f"approx: {result.approx!r}")
     print(f"abs_error: {abs(result.approx - reference)!r}")
     print(f"evals: {result.evals_used}")
@@ -72,8 +71,7 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    function = bench.corpus_function(args.fn)
-    f = function.integrand
+    f = bench.corpus_function(args.fn)
     samples = _eval_nodes(f, ChebGrid(args.n).nodes)
     coeffs = cheb_coeffs(samples).coeffs
     print("k,coeff,predicted")
@@ -87,11 +85,10 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_extrapolate(args) -> int:
-    function = bench.corpus_function(args.fn)
-    f = function.integrand
+    f = bench.corpus_function(args.fn)
     ladder = exponent_ladder(f.profile, max(args.q, 1))
     tableau = richardson(f, args.base_n, args.q, ladder)
-    reference = function.reference_value()
+    reference = bench.corpus_reference(args.fn)
     print(f"fn: {args.fn}")
     print(f"base_n: {tableau.base_n}")
     print(f"q: {tableau.q}")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, InputError, IntegrandError, SizeError, _size
-from .rules import QuadratureRule, RuleKind
+from .rules import QuadratureRule
 from .singular import SingularityProfile
 from .transform import ChebGrid
 
@@ -64,19 +64,31 @@ class Integrand:
         A vectorized integrand takes all nodes in one call; any other is
         called once per node, in node order, with a Python float, and not
         past its first non-finite value.  Either way the values land in a
-        new float64 array that the caller owns, and the first non-finite
-        value raises IntegrandError naming its node.
+        new float64 array that the caller owns.  The first non-finite value
+        raises IntegrandError naming its node, and a value that does not
+        convert to float raises InputError.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.vectorized:
-            out = np.array(self.eval(xs), dtype=float)
-        else:
-            fn = self.eval
-            out = np.full(xs.shape, np.nan)
-            for i, x in enumerate(xs.tolist()):
-                out[i] = v = float(fn(x))
+        if not self.vectorized:
+            fn, values = self.eval, []
+            for x in xs.tolist():
+                r = fn(x)
+                try:
+                    v = float(r)
+                except (TypeError, ValueError, OverflowError):
+                    msg = f"integrand returned {r!r} at node {x!r}, which does not convert to float"
+                    raise InputError(msg) from None
                 if not math.isfinite(v):
-                    break
+                    msg = f"integrand returned non-finite value {v!r} at node {x!r}"
+                    raise IntegrandError(msg, node=x)
+                values.append(v)
+            return np.array(values)
+        raw = self.eval(xs)
+        try:
+            out = np.array(raw, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            msg = f"vectorized integrand values do not convert to float: {exc}"
+            raise InputError(msg) from None
         if out.shape != xs.shape:
             raise InputError(
                 f"vectorized integrand returned shape {out.shape} for nodes of shape {xs.shape}"
@@ -91,7 +103,7 @@ class Integrand:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """One quadrature value plus its bookkeeping.
+    """One quadrature value and the evaluations it cost; the rule holds n and kind.
 
     ``evals_used`` counts the integrand evaluations this call actually
     performed: n+1 (CC) or n (GL) standalone, fewer when a shared sample
@@ -99,9 +111,7 @@ class QuadratureResult:
     """
 
     approx: float
-    n: int
     evals_used: int
-    kind: RuleKind
 
 
 def _eval_nodes(f, xs) -> np.ndarray:
@@ -191,7 +201,7 @@ def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> Q
     may use one, at the sizes the cache serves.
     """
     if cache is not None:
-        if rule.kind is not RuleKind.CLENSHAW_CURTIS:
+        if rule.kind != "cc":
             raise ConfigError("sample caches apply only to Clenshaw-Curtis rules")
         evals = cache.ensure(f, rule.n)
         values = cache.values_at(rule.n)
@@ -199,7 +209,7 @@ def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> Q
         values = _eval_nodes(f, rule.nodes)
         evals = rule.npoints
     approx = float(np.sum(rule.weights * values))
-    return QuadratureResult(approx, rule.n, evals, rule.kind)
+    return QuadratureResult(approx, evals)
 
 
 def aliasing_error(n: int, m: int) -> float:

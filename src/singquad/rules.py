@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -13,7 +12,6 @@ from .errors import NumericError, _size
 from .transform import ChebGrid, dct1
 
 __all__ = [
-    "RuleKind",
     "QuadratureRule",
     "cc_rule_fast",
     "gl_rule",
@@ -24,32 +22,28 @@ __all__ = [
 _MEMO_SIZE = 32
 
 
-class RuleKind(enum.Enum):
-    CLENSHAW_CURTIS = "cc"
-    GAUSS_LEGENDRE = "gl"
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """An immutable quadrature rule on [-1, 1].
 
-    For Clenshaw-Curtis, ``n`` counts intervals (n + 1 points, nodes
+    ``kind`` is "cc" (Clenshaw-Curtis) or "gl" (Gauss-Legendre).  For
+    Clenshaw-Curtis, ``n`` counts intervals (n + 1 points, nodes
     decreasing from +1); for Gauss-Legendre it counts points (nodes
     increasing).  Both arrays are made read-only on construction, so a
     memoized rule shared between callers cannot be altered by one of them.
     """
 
-    kind: RuleKind
+    kind: str
     n: int
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         if self.weights.min() <= 0.0:
-            raise NumericError(f"{self.kind.value} rule n={self.n}: non-positive weight")
+            raise NumericError(f"{self.kind} rule n={self.n}: non-positive weight")
         total = float(self.weights.sum())
         if abs(total - 2.0) > 1e-12:
-            raise NumericError(f"{self.kind.value} rule n={self.n}: weights sum to {total!r}")
+            raise NumericError(f"{self.kind} rule n={self.n}: weights sum to {total!r}")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -78,7 +72,7 @@ def cc_rule_fast(n: int) -> QuadratureRule:
     w = (2.0 / n) * dct1(v)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return QuadratureRule(RuleKind.CLENSHAW_CURTIS, n, ChebGrid(n).nodes, w)
+    return QuadratureRule("cc", n, ChebGrid(n).nodes, w)
 
 
 # Gauss-Legendre construction.  A node theta (x = cos theta) uses the
@@ -149,7 +143,7 @@ def gl_rule(n: int) -> QuadratureRule:
         x[-1] = 0.0  # P_n(0) = 0 exactly for odd n
     nodes = np.concatenate([-x[: n // 2], x[::-1]])
     weights = np.concatenate([w[: n // 2], w[::-1]])
-    return QuadratureRule(RuleKind.GAUSS_LEGENDRE, n, nodes, weights)
+    return QuadratureRule("gl", n, nodes, weights)
 
 
 def _interior_expansion(n: int, from_middle: np.ndarray):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from singquad.errors import SizeError
-from singquad.rules import QuadratureRule, RuleKind
+from singquad.rules import QuadratureRule
 from singquad.singular import coeff_asymptote
 from singquad.transform import ChebGrid, cheb_coeffs
 
@@ -92,7 +92,7 @@ def cc_rule_direct(n):
     w = (4.0 / n) * (cosines @ term)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return QuadratureRule(RuleKind.CLENSHAW_CURTIS, n, ChebGrid(n).nodes, w)
+    return QuadratureRule("cc", n, ChebGrid(n).nodes, w)
 
 
 def dct1_direct_longdouble(values):

@@ -11,7 +11,7 @@ from singquad.accel import (
     fit_rate,
     richardson,
 )
-from singquad.bench import corpus, corpus_function
+from singquad.bench import corpus, corpus_function, corpus_reference
 from singquad.engine import SampleCache, integrate
 from singquad.errors import ConfigError, InputError, InsufficientDataError, SizeError
 from singquad.rules import cc_rule_fast
@@ -71,36 +71,36 @@ def test_monotone_improvement_on_the_whole_corpus():
     # Each extrapolated value must beat the plain rule that consumed the
     # same finest grid: |I - R(q, 16)| <= |I - R(0, 2^q * 16)|.
     for fn in corpus():
-        ref = fn.reference_value()
-        ladder = exponent_ladder(fn.integrand.profile, 2)
+        ref = corpus_reference(fn.label)
+        ladder = exponent_ladder(fn.profile, 2)
         for q in (1, 2):
-            tab = richardson(fn.integrand, 16, q, ladder)
+            tab = richardson(fn, 16, q, ladder)
             err_accel = abs(ref - tab.value)
             err_plain = abs(ref - tab.entry(0, q))
-            assert err_accel <= err_plain, (fn.id, q, err_accel, err_plain)
+            assert err_accel <= err_plain, (fn.label, q, err_accel, err_plain)
 
 
 def test_first_level_beats_plain_rule_at_equal_base():
     fn = corpus_function("F1a")
-    ref = fn.reference_value()
-    ladder = exponent_ladder(fn.integrand.profile, 1)
-    tab = richardson(fn.integrand, 16, 1, ladder)
+    ref = corpus_reference("F1a")
+    ladder = exponent_ladder(fn.profile, 1)
+    tab = richardson(fn, 16, 1, ladder)
     assert abs(ref - tab.value) < abs(ref - tab.entry(0, 0))
 
 
 def test_eval_economy_is_exactly_geometric():
     fn = corpus_function("F1a")
     for q in (0, 1, 2):
-        wrapped, calls = _counted(fn.integrand.eval)
-        tab = richardson(wrapped, 16, q, exponent_ladder(fn.integrand.profile, 2))
+        wrapped, calls = _counted(fn.eval)
+        tab = richardson(wrapped, 16, q, exponent_ladder(fn.profile, 2))
         assert calls[0] == 2**q * 16 + 1
         assert tab.evals_used == calls[0]
 
 
 def test_tableau_recomputable_bitwise_from_first_row():
     fn = corpus_function("F1b")
-    ladder = exponent_ladder(fn.integrand.profile, 2)
-    tab = richardson(fn.integrand, 16, 2, ladder)
+    ladder = exponent_ladder(fn.profile, 2)
+    tab = richardson(fn, 16, 2, ladder)
     rebuilt = extrapolate_rows(tab.rows[0], ladder)
     assert tuple(tuple(r) for r in rebuilt) == tab.rows
 
@@ -115,9 +115,9 @@ def test_depth_zero_reduces_to_the_plain_rule():
 
 def test_shared_cache_makes_reruns_free_and_identical():
     fn = corpus_function("F3a")
-    ladder = exponent_ladder(fn.integrand.profile, 2)
+    ladder = exponent_ladder(fn.profile, 2)
     cache = SampleCache(16)
-    wrapped, calls = _counted(fn.integrand.eval)
+    wrapped, calls = _counted(fn.eval)
     first = richardson(wrapped, 16, 2, ladder, cache)
     assert calls[0] == 65
     second = richardson(wrapped, 16, 2, ladder, cache)
@@ -134,7 +134,7 @@ def test_coarser_cache_base_is_accepted():
 
 
 def test_finer_cache_base_serves_a_divisor_as_a_stride_view():
-    f = corpus_function("F1a").integrand
+    f = corpus_function("F1a")
     ladder = exponent_ladder(f.profile, 1)
     shared = richardson(f, 8, 1, ladder, SampleCache(16))
     fresh = richardson(f, 8, 1, ladder)
@@ -265,11 +265,11 @@ def test_unfiltered_double_extrapolation_rate_on_log_integrand():
     # with the floor disabled the raw three-point fit shows the expected
     # eighth-order decay.
     fn = corpus_function("F2a")
-    ref = fn.reference_value()
-    ladder = exponent_ladder(fn.integrand.profile, 2)
+    ref = corpus_reference("F2a")
+    ladder = exponent_ladder(fn.profile, 2)
     errors = []
     for base in (8, 16, 32):
-        tab = richardson(fn.integrand, base, 2, ladder)
+        tab = richardson(fn, base, 2, ladder)
         errors.append((base, ref - tab.value))
     est = fit_rate(errors, noise_floor=0.0)
     assert abs(est.slope - 8.0) <= 0.8

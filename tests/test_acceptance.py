@@ -19,7 +19,7 @@ from singquad.accel import (
     fit_rate,
     richardson,
 )
-from singquad.bench import corpus_function
+from singquad.bench import corpus_function, corpus_reference
 from singquad.engine import SampleCache, aliasing_error, integrate
 from singquad.errors import InsufficientDataError
 from singquad.rules import cc_rule_fast, gl_rule
@@ -37,23 +37,23 @@ def _monomial_errors(rule, max_degree):
 
 def _cc_errors(fn_id, sizes):
     fn = corpus_function(fn_id)
-    ref = fn.reference_value()
+    ref = corpus_reference(fn_id)
     cache = SampleCache(sizes[0])
     errors = []
     for n in sizes:
-        result = integrate(cc_rule_fast(n), fn.integrand, cache)
+        result = integrate(cc_rule_fast(n), fn, cache)
         errors.append((n, ref - result.approx))
     return ref, errors
 
 
 def _rq_errors(fn_id, q, bases):
     fn = corpus_function(fn_id)
-    ref = fn.reference_value()
-    ladder = exponent_ladder(fn.integrand.profile, q)
+    ref = corpus_reference(fn_id)
+    ladder = exponent_ladder(fn.profile, q)
     cache = SampleCache(bases[0])
     errors = []
     for base in bases:
-        tableau = richardson(fn.integrand, base, q, ladder, cache)
+        tableau = richardson(fn, base, q, ladder, cache)
         errors.append((base, ref - tableau.value))
     return ref, errors
 
@@ -138,7 +138,7 @@ def test_criterion_05_rates_for_sqrt_singularity():
 
 
 def test_criterion_06_rates_for_mixed_fractional_singularity():
-    ladder = exponent_ladder(corpus_function("F1b").integrand.profile, 4)
+    ladder = exponent_ladder(corpus_function("F1b").profile, 4)
     for j, d in enumerate(ladder):
         assert d == j + 1.5, f"ladder entry {j} is {d}, expected {j + 1.5}"
     ref, errors = _cc_errors("F1b", _sizes(32, 2048))
@@ -182,11 +182,11 @@ def test_criterion_07_rates_for_log_singularity():
 
 def test_criterion_08_interior_kink_pair():
     for fn_id in ("F3a", "F3b"):
-        ref = corpus_function(fn_id).reference_value()
+        ref = corpus_reference(fn_id)
         _, cc_errors = _cc_errors(fn_id, _sizes(32, 2048))
         cc_rate = _fitted(ref, cc_errors)
         assert abs(cc_rate - 3.0) <= 0.2, f"{fn_id} CC rate {cc_rate:.4f}"
-        f = corpus_function(fn_id).integrand
+        f = corpus_function(fn_id)
         gl_errors = []
         for n in _sizes(32, 2048):
             result = integrate(gl_rule(n), f)
@@ -205,7 +205,7 @@ def test_criterion_08_interior_kink_pair():
 def test_criterion_09_coefficient_asymptotics():
     k, resolution = 1024, 4096
     for fn_id in ("F1a", "F1b", "F2a"):
-        f = corpus_function(fn_id).integrand
+        f = corpus_function(fn_id)
         measured = dct_coeff(f, k, resolution)
         predicted = alias_closed_prediction(f.profile, k, resolution)
         rel = abs(measured / predicted - 1.0)
@@ -216,13 +216,13 @@ def test_criterion_09_coefficient_asymptotics():
     # the log-free part of the check applies to the raw prediction too
     from singquad.singular import predict_coeff
 
-    f = corpus_function("F2a").integrand
+    f = corpus_function("F2a")
     measured = dct_coeff(f, k, resolution)
     raw = predict_coeff(f.profile, k)
     rel = abs(measured / raw - 1.0)
     assert rel <= 0.05, f"F2a raw prediction deviates {rel:.4%}"
 
-    f3b = corpus_function("F3b").integrand
+    f3b = corpus_function("F3b")
     target = math.sqrt(6.0) / math.pi
     for kk in (256, 512):
         amplitude = abs(dct_coeff(f3b, kk, resolution))
@@ -281,8 +281,8 @@ def test_criterion_10_property_suites():
 
     # tableau bit recomputability
     fn = corpus_function("F1b")
-    ladder = exponent_ladder(fn.integrand.profile, 2)
-    tableau = richardson(fn.integrand, 16, 2, ladder)
+    ladder = exponent_ladder(fn.profile, 2)
+    tableau = richardson(fn, 16, 2, ladder)
     rebuilt = extrapolate_rows(tableau.rows[0], ladder)
     assert tuple(tuple(r) for r in rebuilt) == tableau.rows
 

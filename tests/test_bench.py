@@ -14,10 +14,10 @@ from singquad.bench import (
     CSV_HEADER,
     METHOD_ORDER,
     ConvergenceRecord,
-    CorpusFunction,
     ExperimentConfig,
     corpus,
     corpus_function,
+    corpus_reference,
     render_csv,
     run_experiment,
     tanh_sinh,
@@ -136,12 +136,13 @@ FROZEN_REFERENCES = {
 
 
 def test_corpus_ids_and_reference_kinds():
-    ids = [fn.id for fn in corpus()]
+    ids = [f.label for f in corpus()]
     assert ids == ["F1a", "F1b", "F2a", "F2b", "F3a", "F3b"]
-    for fn in corpus():
-        expected = FROZEN_REFERENCES[fn.id]
-        assert abs(fn.reference_value() - expected) <= 1e-15 * expected, fn.id
+    for fn_id in ids:
+        expected = FROZEN_REFERENCES[fn_id]
+        assert abs(corpus_reference(fn_id) - expected) <= 1e-15 * expected, fn_id
     assert corpus_function("F2b") is corpus()[3]
+    assert all(isinstance(f, Integrand) and f.vectorized for f in corpus())
 
 
 def test_each_reference_runs_the_oracle_once_per_process(monkeypatch):
@@ -153,13 +154,13 @@ def test_each_reference_runs_the_oracle_once_per_process(monkeypatch):
         calls.append(f)
         return tanh_sinh(f)
 
-    CorpusFunction.reference_value.cache_clear()
+    corpus_reference.cache_clear()
     monkeypatch.setattr(bench, "tanh_sinh", counting)
     cfg = ExperimentConfig(fn="F2b", methods=("cc", "gl"), n_values=(8, 16))
     first, second = run_experiment(cfg), run_experiment(cfg)
-    assert calls == [corpus_function("F2b").integrand]
+    assert calls == [corpus_function("F2b")]
     assert first == second
-    assert corpus_function("F2b").reference_value() == tanh_sinh(calls[0])
+    assert corpus_reference("F2b") == tanh_sinh(calls[0])
 
 
 def test_unknown_corpus_id_is_rejected():
@@ -168,37 +169,37 @@ def test_unknown_corpus_id_is_rejected():
 
 
 def test_corpus_profiles_match_the_integrands():
-    p = corpus_function("F1a").integrand.profile
+    p = corpus_function("F1a").profile
     assert (p.alpha, p.beta, p.log_left) == (0.5, 0.0, False)
     assert p.g_at_1 == math.e and p.g_at_minus1 == 1.0 / math.e
     assert p.g_prime_at_1 == math.e and p.g_prime_at_minus1 == 1.0 / math.e
 
-    p = corpus_function("F2b").integrand.profile
+    p = corpus_function("F2b").profile
     assert (p.alpha, p.beta, p.log_left) == (1.0, 0.5, True)
 
-    p = corpus_function("F3a").integrand.profile
+    p = corpus_function("F3a").profile
     slope = math.sqrt(2.0) * (1.0 / 3.0 - 0.5)
     assert (p.alpha, p.beta) == (0.5, 0.5)
     assert p.g_at_1 == math.sqrt(2.0) and p.g_at_minus1 == math.sqrt(2.0)
     assert p.g_prime_at_1 == slope and p.g_prime_at_minus1 == -slope
 
-    p = corpus_function("F3b").integrand.profile
+    p = corpus_function("F3b").profile
     assert p.g_at_1 == math.sqrt(6.0)
     assert p.g_prime_at_1 == pytest.approx(math.sqrt(6.0) / 2.0, rel=1e-15)
 
 
 def test_corpus_pointwise_values():
-    assert corpus_function("F1a").integrand(0.0) == 1.0
-    assert corpus_function("F3a").integrand(0.5) == math.acos(0.25)
+    assert corpus_function("F1a")(0.0) == 1.0
+    assert corpus_function("F3a")(0.5) == math.acos(0.25)
     # the s*log(s) factor extends continuously by zero at the right endpoint
-    assert corpus_function("F2a").integrand(1.0) == 0.0
-    assert corpus_function("F2b").integrand(1.0) == 0.0
-    assert math.isfinite(corpus_function("F2a").integrand(1.0 - 1e-12))
+    assert corpus_function("F2a")(1.0) == 0.0
+    assert corpus_function("F2b")(1.0) == 0.0
+    assert math.isfinite(corpus_function("F2a")(1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("fn_id", list(CORPUS_MATH))
 def test_numpy_corpus_agrees_with_the_math_forms_within_4_ulp(fn_id):
-    f = corpus_function(fn_id).integrand
+    f = corpus_function(fn_id)
     assert f.vectorized
     for xs in (ChebGrid(4096).nodes, tanh_sinh_abscissae(12)):
         got = f.eval(xs)
@@ -213,7 +214,7 @@ def test_corpus_endpoint_values_are_exact_and_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn_id, reference in CORPUS_MATH.items():
-            f = corpus_function(fn_id).integrand
+            f = corpus_function(fn_id)
             want = [reference(-1.0).hex(), reference(1.0).hex()]
             assert [float(v).hex() for v in f.eval(ends)] == want, fn_id
             assert [f(-1.0).hex(), f(1.0).hex()] == want, fn_id
@@ -259,7 +260,7 @@ def test_records_come_out_in_canonical_order():
     for r in records:
         assert r.fn == "F1b"
         assert r.abs_error == abs(
-            r.approx - corpus_function("F1b").reference_value()
+            r.approx - corpus_reference("F1b")
         )
 
 
@@ -278,13 +279,15 @@ def test_run_experiment_writes_csv_when_asked(tmp_path, capsys):
 def test_failing_series_warns_and_keeps_the_other_methods(monkeypatch):
     # F1a, but NaN at one node that only the cc grid of size 28 holds
     f1a = corpus_function("F1a")
+    corpus_reference("F1a")  # memoize the reference of the true F1a before the patch
     bad = float(ChebGrid(28).nodes[1])
     spoiled = Integrand(
-        lambda x: np.where(x == bad, np.nan, f1a.integrand.eval(x)),
-        f1a.integrand.profile,
+        lambda x: np.where(x == bad, np.nan, f1a.eval(x)),
+        f1a.profile,
+        label="F1a",
         vectorized=True,
     )
-    monkeypatch.setitem(bench._BY_ID, "F1a", CorpusFunction("F1a", spoiled))
+    monkeypatch.setitem(bench._BY_ID, "F1a", spoiled)
     cfg = ExperimentConfig(fn="F1a", methods=("cc", "gl"), n_values=(16, 28))
     with pytest.warns(RuntimeWarning) as caught:
         records = run_experiment(cfg)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import cc_rule_direct
-from singquad.bench import CSV_HEADER, CorpusFunction
+from singquad.bench import CSV_HEADER, corpus_reference
 from singquad.cli import cli, main
 from singquad.errors import NumericError, OracleError, SizeError
 from singquad.rules import cc_rule_fast
@@ -310,7 +310,7 @@ def test_numeric_failures_exit_2(capsys, monkeypatch):
     def raiser(f, tol=None):
         raise OracleError("tanh-sinh failed to reach tolerance")
 
-    CorpusFunction.reference_value.cache_clear()  # a memoized F1a would skip the oracle
+    corpus_reference.cache_clear()  # a memoized F1a would skip the oracle
     monkeypatch.setattr("singquad.bench.tanh_sinh", raiser)
     code, _, err = _run(capsys, ["integrate", "--fn", "F1a", "--n", "16"])
     assert code == 2

@@ -37,21 +37,22 @@ def test_top_level_exports_resolve():
         "SingularityProfile", "classify_s", "exponent_ladder",
         "predict_coeff",
         "richardson", "extrapolate_rows", "fit_rate", "default_noise_floor",
-        "tanh_sinh", "corpus", "corpus_function", "run_experiment",
+        "tanh_sinh", "corpus", "corpus_function", "corpus_reference", "run_experiment",
     ):
         assert callable(getattr(singquad, name)), name
 
 
 EXPORTS = [
     "ChebCoeffs", "ChebGrid", "ConfigError",
-    "ConvergenceRecord", "CorpusFunction", "DomainError", "ExperimentConfig",
+    "ConvergenceRecord", "DomainError", "ExperimentConfig",
     "ExtrapolationTableau", "InputError", "InsufficientDataError",
     "Integrand", "IntegrandError", "NumericError", "OracleError",
     "ProfileError", "QuadratureResult", "QuadratureRule",
-    "RateEstimate", "RuleKind", "SampleCache", "SingquadError", "SingularityProfile",
+    "RateEstimate", "SampleCache", "SingquadError", "SingularityProfile",
     "SizeError", "aliasing_error",
     "cc_rule_fast", "cheb_coeffs",
-    "cheb_eval", "classify_s", "coeff_asymptote", "corpus", "corpus_function", "dct1",
+    "cheb_eval", "classify_s", "coeff_asymptote", "corpus", "corpus_function",
+    "corpus_reference", "dct1",
     "default_noise_floor", "exponent_ladder", "extrapolate_rows",
     "fit_rate", "gl_rule",
     "integrate",
@@ -104,7 +105,7 @@ def test_one_except_clause_catches_everything():
 # Every public entry point that takes a size, index, count or depth:
 # (documented error, a value below the minimum, call).  A call returns the
 # size its result kept, or None where it keeps none, and a value to compare.
-_F1A = singquad.corpus_function("F1a").integrand
+_F1A = singquad.corpus_function("F1a")
 _EXP = singquad.Integrand(np.exp, vectorized=True)
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import OTHER_SIZES, cc_rule_direct, gl_rule_recurrence, supported_sizes
+from singquad import rules
 from singquad.errors import NumericError, SizeError
-from singquad.rules import QuadratureRule, RuleKind, cc_rule_fast, gl_rule
+from singquad.rules import QuadratureRule, cc_rule_fast, gl_rule
 
 
 def exactness_errors(rule, degree):
@@ -288,12 +289,21 @@ def test_cache_info_counts_rules_built_and_reused():
         assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
+def test_gl_newton_non_convergence_raises_numeric_error(monkeypatch):
+    # the unmemoized builder, so no entry is left in gl_rule's memo
+    monkeypatch.setattr(rules, "_NEWTON_STEPS", 0)
+    before = gl_rule.cache_info()
+    with pytest.raises(NumericError, match="did not converge for n=64"):
+        gl_rule.__wrapped__(64)
+    assert gl_rule.cache_info() == before
+
+
 def test_rule_constructor_rejects_bad_weights():
     nodes = np.array([1.0, 0.0, -1.0])
     with pytest.raises(NumericError):
-        QuadratureRule(RuleKind.CLENSHAW_CURTIS, 2, nodes, np.array([1.0, -0.5, 1.5]))
+        QuadratureRule("cc", 2, nodes, np.array([1.0, -0.5, 1.5]))
     with pytest.raises(NumericError):
-        QuadratureRule(RuleKind.CLENSHAW_CURTIS, 2, nodes, np.array([1.0, 1.0, 1.0]))
+        QuadratureRule("cc", 2, nodes, np.array([1.0, 1.0, 1.0]))
 
 
 @settings(max_examples=20, deadline=None)

@@ -141,6 +141,19 @@ def test_profile_rejects_negative_exponents():
         SingularityProfile(-0.25, 0.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["alpha", "beta", "g_at_1", "g_at_minus1", "g_prime_at_1", "g_prime_at_minus1"]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_a_non_finite_field(field, bad):
+    fields = dict(alpha=0.5, beta=0.0, g_at_1=1.0, g_at_minus1=1.0, g_prime_at_1=0.0)
+    fields["g_prime_at_minus1"] = 0.0
+    SingularityProfile(**fields)
+    fields[field] = bad
+    with pytest.raises(ProfileError, match=f"field {field} must be finite"):
+        SingularityProfile(**fields)
+
+
 def test_classification_examples():
     assert classify_s(SingularityProfile(0.5, 0.0)) == 1.0
     assert classify_s(SingularityProfile(0.75, 0.25)) == 0.5
@@ -278,8 +291,8 @@ def test_measured_coeff_matches_folded_asymptote(fn_id, k):
     for the root singularity, +23% for the mixed-exponent one).
     """
     f = corpus_function(fn_id)
-    a = dct_coeff(f.integrand.eval, k, 4096)
-    predicted = alias_closed_prediction(f.integrand.profile, k, 4096)
+    a = dct_coeff(f.eval, k, 4096)
+    predicted = alias_closed_prediction(f.profile, k, 4096)
     assert abs(a / predicted - 1.0) <= 0.05
 
 
@@ -288,14 +301,14 @@ def test_measured_coeff_matches_leading_prediction_at_low_index(fn_id):
     # at index 64 of a 4096-point transform the aliasing images are
     # negligible, so the raw leading-order prediction must already agree
     f = corpus_function(fn_id)
-    a = dct_coeff(f.integrand.eval, 64, 4096)
-    assert abs(a / predict_coeff(f.integrand.profile, 64) - 1.0) <= 0.05
+    a = dct_coeff(f.eval, 64, 4096)
+    assert abs(a / predict_coeff(f.profile, 64) - 1.0) <= 0.05
 
 
 def test_measured_log_coeff_matches_raw_prediction():
     f = corpus_function("F2a")
-    a = dct_coeff(f.integrand.eval, 1024, 4096)
-    assert abs(a / predict_coeff(f.integrand.profile, 1024) - 1.0) <= 0.05
+    a = dct_coeff(f.eval, 1024, 4096)
+    assert abs(a / predict_coeff(f.profile, 1024) - 1.0) <= 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ def test_half_resolution_coeff_matches_folded_asymptote():
     from singquad.bench import corpus_function
 
     f = corpus_function("F1a")
-    a = dct_coeff(f.integrand.eval, 1024, 2048)
-    predicted = alias_closed_prediction(f.integrand.profile, 1024, 2048)
+    a = dct_coeff(f.eval, 1024, 2048)
+    predicted = alias_closed_prediction(f.profile, 1024, 2048)
     assert abs(a / predicted - 1.0) <= 0.02
 
 
