@@ -4,7 +4,9 @@ The extrapolation consumes an exponent ladder d_0 < d_1 < ...: level j+1
 combines values at sizes n and 2n through
 (2**(d_j+1) * R(j, 2n) - R(j, n)) / (2**(d_j+1) - 1), annihilating the
 n**(-d_j-1) error term.  All base values come from one shared sample
-cache, so q levels on base size n cost exactly 2**q * n + 1 evaluations.
+cache, filled once to the finest size, so q levels on base size n cost
+exactly 2**q * n + 1 evaluations.  :func:`richardson` is the one reader
+of nested samples in the package.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import SampleCache, integrate
+from .engine import SampleCache
 from .errors import ConfigError, InputError, InsufficientDataError, _size
 from .rules import cc_rule_fast
 
@@ -98,20 +100,20 @@ def richardson(
     The ladder must supply at least q finite, positive, strictly increasing
     exponents, checked before any sample is taken; depth 0 is plain
     Clenshaw-Curtis, for which an empty ladder will do.  A fresh cache on
-    ``base_n`` is created unless one is passed in; the cache decides which
-    sizes it serves and raises SizeError for the rest.
+    ``base_n`` is created unless one is passed in.  All q+1 rules are built
+    before the cache is filled, once, to 2**q * base_n, so a rule that
+    cannot be built costs no evaluation; the cache decides which sizes it
+    serves and raises SizeError, naming 2**q * base_n, for the rest.
+    ``evals_used`` counts the evaluations that fill made.
     """
     base_n = _size(base_n, 1, what="base size must be an integer")
     q = _size(q, 0, ConfigError, "extrapolation depth must be an integer")
     ladder = _check_ladder(ladder, q)
     if cache is None:
         cache = SampleCache(base_n)
-    evals = 0
-    row0 = []
-    for k in range(q + 1):
-        result = integrate(cc_rule_fast(base_n * 2**k), f, cache)
-        row0.append(result.approx)
-        evals += result.evals_used
+    rules = [cc_rule_fast(base_n * 2**k) for k in range(q + 1)]
+    evals = cache.ensure(f, rules[-1].n)
+    row0 = [rule.apply(cache.values_at(rule.n)) for rule in rules]
     rows = extrapolate_rows(row0, ladder)
     return ExtrapolationTableau(base_n, q, tuple(tuple(r) for r in rows), evals)
 

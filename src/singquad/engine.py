@@ -1,9 +1,10 @@
-"""Quadrature application: cached sampling, summation, aliasing.
+"""Quadrature application: sampling, nested sample caches, aliasing.
 
-The cache stores integrand samples on nested Chebyshev-Lobatto grids so
-that doubling the rule size only pays for the new odd-index nodes.  A
-rule's value is its weights against the samples, summed by numpy's
-pairwise ``np.sum``.  Every sample in the package is taken by
+:func:`integrate` applies a rule to fresh samples at its nodes.  The cache
+stores integrand samples on nested Chebyshev-Lobatto grids so that
+doubling the rule size only pays for the new odd-index nodes; its one
+reader is :func:`singquad.accel.richardson`.  Either way a rule's value
+is :meth:`QuadratureRule.apply`.  Every sample in the package is taken by
 :meth:`Integrand.sample`: one call per batch of nodes for a vectorized
 integrand, one call per node for anything else.  Rules, caches and the
 CLI reach it through ``_eval_nodes``, which perfbench traces as
@@ -66,7 +67,7 @@ class Integrand:
         past its first non-finite value.  Either way the values land in a
         new float64 array that the caller owns.  The first non-finite value
         raises IntegrandError naming its node, and a value that does not
-        convert to float raises InputError.
+        convert to float raises InputError, as does any complex batch.
         """
         xs = np.asarray(xs, dtype=float)
         if not self.vectorized:
@@ -85,6 +86,8 @@ class Integrand:
             return np.array(values)
         raw = self.eval(xs)
         try:
+            if np.iscomplexobj(raw):  # the cast would drop the imaginary part with a warning
+                raise TypeError("complex values")
             out = np.array(raw, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             msg = f"vectorized integrand values do not convert to float: {exc}"
@@ -105,9 +108,8 @@ class Integrand:
 class QuadratureResult:
     """One quadrature value and the evaluations it cost; the rule holds n and kind.
 
-    ``evals_used`` counts the integrand evaluations this call actually
-    performed: n+1 (CC) or n (GL) standalone, fewer when a shared sample
-    cache already held part of the grid.
+    ``evals_used`` is the rule's point count, n+1 (CC) or n (GL): every
+    node is sampled afresh.
     """
 
     approx: float
@@ -174,15 +176,16 @@ class SampleCache:
             raise ConfigError("sample cache already holds samples of a different integrand")
         before = self.eval_count
         if self._values is None:
-            self._values = _eval_nodes(f, ChebGrid(self.base_n).nodes)
-            self._f = f
+            values = _eval_nodes(f, ChebGrid(self.base_n).nodes)
+            values.setflags(write=False)
+            self._values, self._f = values, f
         while self.finest_n < target:
             doubled = 2 * self.finest_n
             new = np.empty(doubled + 1)
             new[::2] = self._values
             new[1::2] = _eval_nodes(f, np.cos(ChebGrid(doubled).angles[1::2]))
+            new.setflags(write=False)  # as stored: a later doubling may raise
             self._values = new
-        self._values.setflags(write=False)
         return self.eval_count - before
 
     def values_at(self, n: int) -> np.ndarray:
@@ -194,22 +197,9 @@ class SampleCache:
         return self._values[:: self.finest_n // n]
 
 
-def integrate(rule: QuadratureRule, f, cache: Optional[SampleCache] = None) -> QuadratureResult:
-    """Apply ``rule`` to ``f``, optionally reading samples through ``cache``.
-
-    Caches hold Chebyshev-Lobatto samples, so only Clenshaw-Curtis rules
-    may use one, at the sizes the cache serves.
-    """
-    if cache is not None:
-        if rule.kind != "cc":
-            raise ConfigError("sample caches apply only to Clenshaw-Curtis rules")
-        evals = cache.ensure(f, rule.n)
-        values = cache.values_at(rule.n)
-    else:
-        values = _eval_nodes(f, rule.nodes)
-        evals = rule.npoints
-    approx = float(np.sum(rule.weights * values))
-    return QuadratureResult(approx, evals)
+def integrate(rule: QuadratureRule, f) -> QuadratureResult:
+    """Apply ``rule`` to fresh samples of ``f`` at its nodes."""
+    return QuadratureResult(rule.apply(_eval_nodes(f, rule.nodes)), rule.npoints)
 
 
 def aliasing_error(n: int, m: int) -> float:

@@ -51,6 +51,14 @@ class QuadratureRule:
     def npoints(self) -> int:
         return len(self.nodes)
 
+    def apply(self, values) -> float:
+        """The rule's value on ``values``, the integrand at its nodes.
+
+        The weights-times-values products are summed by numpy's pairwise
+        ``np.sum``, whether the values are fresh or read from a cache.
+        """
+        return float(np.sum(self.weights * values))
+
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def cc_rule_fast(n: int) -> QuadratureRule:

@@ -156,6 +156,30 @@ def test_richardson_validation():
         richardson(f, 16, 1, LADDER_24, cache=SampleCache(24))
 
 
+def test_a_rule_that_cannot_be_built_costs_no_evaluation(monkeypatch):
+    # The rules once came level by level, each after its samples, so a
+    # failure at 4n came after 2n + 1 evaluations.
+    def rule(n):
+        if n == 32:
+            raise SizeError("no rule of size 32")
+        return cc_rule_fast(n)
+
+    monkeypatch.setattr("singquad.accel.cc_rule_fast", rule)
+    wrapped, calls = _counted(math.exp)
+    cache = SampleCache(8)
+    with pytest.raises(SizeError, match="no rule of size 32"):
+        richardson(wrapped, 8, 2, LADDER_24, cache)
+    assert calls[0] == 0 and cache.eval_count == 0
+
+
+def test_a_cache_that_cannot_serve_the_tableau_names_its_finest_size():
+    wrapped, calls = _counted(math.exp)
+    cache = SampleCache(24)
+    with pytest.raises(SizeError, match="size 32 does not divide a doubling of 24"):
+        richardson(wrapped, 16, 1, LADDER_24, cache)
+    assert calls[0] == 0 and cache.eval_count == 0
+
+
 @pytest.mark.parametrize(
     "ladder",
     [

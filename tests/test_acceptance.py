@@ -41,8 +41,7 @@ def _cc_errors(fn_id, sizes):
     cache = SampleCache(sizes[0])
     errors = []
     for n in sizes:
-        result = integrate(cc_rule_fast(n), fn, cache)
-        errors.append((n, ref - result.approx))
+        errors.append((n, ref - richardson(fn, n, 0, (), cache).value))
     return ref, errors
 
 
@@ -270,7 +269,7 @@ def test_criterion_10_property_suites():
         return math.exp(x)
 
     cache = SampleCache(16)
-    per_run = [integrate(cc_rule_fast(n), counted, cache).evals_used for n in (16, 32, 64)]
+    per_run = [richardson(counted, n, 0, (), cache).evals_used for n in (16, 32, 64)]
     assert per_run == [17, 16, 32]
     assert calls[0] == 4 * 16 + 1
 
