@@ -142,6 +142,15 @@ def test_finer_cache_base_serves_a_divisor_as_a_stride_view():
     assert shared.evals_used == fresh.evals_used == 17
 
 
+def test_an_odd_base_reads_a_stride_view_of_the_one_ensure():
+    # The cache is asked for 2**q * base_n only, so base 3 at depth 1 is
+    # served by a base-6 cache; it raised SizeError while each level was asked.
+    f = lambda x: 1.0 / (2.0 + x)
+    tab = richardson(f, 3, 1, LADDER_24, SampleCache(6))
+    assert tab.rows[0] == (integrate(cc_rule_fast(3), f).approx, integrate(cc_rule_fast(6), f).approx)
+    assert tab.evals_used == 7
+
+
 def test_richardson_validation():
     f = math.exp
     with pytest.raises(SizeError):
