@@ -34,14 +34,18 @@ __all__ = [
 def _check_ladder(ladder, q: int) -> tuple:
     """The ladder as a tuple, once it is known to serve q extrapolation levels.
 
-    A ladder must hold at least q exponents, all finite, positive and
+    A ladder must hold at least q exponents, all finite, real, positive and
     strictly increasing; anything else raises ConfigError.
     """
     d = tuple(ladder)
     if len(d) < q:
         raise ConfigError(f"depth {q} needs a ladder of length >= {q}, got {len(d)}")
-    if not all(math.isfinite(v) for v in d):
-        raise ConfigError(f"ladder exponents must be finite, got {d}")
+    try:
+        finite = all(math.isfinite(v) for v in d)
+    except TypeError:  # complex, str, None: not a real number
+        finite = False
+    if not finite:
+        raise ConfigError(f"ladder exponents must be finite and real, got {d}")
     if not all(hi > lo for lo, hi in zip(d, d[1:])):
         raise ConfigError(f"ladder exponents must increase strictly, got {d}")
     if d and d[0] <= 0:
@@ -97,17 +101,18 @@ def richardson(
 ) -> ExtrapolationTableau:
     """Run q extrapolation levels above Clenshaw-Curtis at sizes base_n..2**q*base_n.
 
-    The ladder must supply at least q finite, positive, strictly increasing
-    exponents, checked before any sample is taken; depth 0 is plain
-    Clenshaw-Curtis, for which an empty ladder will do.  A fresh cache on
-    ``base_n`` is created unless one is passed in.  All q+1 rules are built
-    before the cache is filled, once, to 2**q * base_n, so a rule that
-    cannot be built costs no evaluation; the cache decides which sizes it
-    serves and raises SizeError, naming 2**q * base_n, for the rest.
-    ``evals_used`` counts the evaluations that fill made.
+    Depth 0 is plain Clenshaw-Curtis at any base_n >= 1 (an empty ladder
+    will do); for q >= 1 base_n must be even, as the error expansion holds
+    along even sizes, and the ladder must hold at least q finite, positive,
+    strictly increasing exponents.  Both are checked before any rule or
+    sample.  All q+1 rules are built before the cache (a fresh one on
+    ``base_n`` unless passed in) is filled, once, to 2**q * base_n: a rule
+    that cannot be built costs no evaluation, a cache that cannot serve that
+    size raises SizeError naming it, and ``evals_used`` counts the fill.
     """
-    base_n = _size(base_n, 1, what="base size must be an integer")
     q = _size(q, 0, ConfigError, "extrapolation depth must be an integer")
+    what = "extrapolation needs an even base size" if q else "base size must be an integer"
+    base_n = _size(base_n, 2 if q else 1, what=what, even=q > 0)
     ladder = _check_ladder(ladder, q)
     if cache is None:
         cache = SampleCache(base_n)
@@ -140,7 +145,7 @@ def fit_rate(errors, noise_floor: Optional[float] = None) -> RateEstimate:
     """Least-squares slope of log|error| against log n.
 
     ``errors`` is an iterable of (n, error) pairs with an integral n >= 1
-    and a finite error, else InputError; pairs with |error| at or below the
+    and a finite real error, else InputError; pairs with |error| at or below the
     noise floor are discarded, and at least three distinct sizes must survive.
     """
     if noise_floor is None:
@@ -148,8 +153,12 @@ def fit_rate(errors, noise_floor: Optional[float] = None) -> RateEstimate:
     window = []
     discarded = []
     for n, err in errors:
-        if not math.isfinite(err):
-            raise InputError(f"rate fit needs a finite error, got {(n, err)!r}")
+        try:
+            finite = math.isfinite(err)
+        except TypeError:  # complex, str, None: not a real number
+            finite = False
+        if not finite:
+            raise InputError(f"rate fit needs a finite real error, got {(n, err)!r}")
         n = _size(n, 1, InputError, "rate fit needs an integer n", got=(n, err))
         (window if abs(err) > noise_floor else discarded).append((n, float(err)))
     if len({n for n, _ in window}) < 3:

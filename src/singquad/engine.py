@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, InputError, IntegrandError, SizeError, _size
 from .rules import QuadratureRule
 from .singular import SingularityProfile
-from .transform import ChebGrid
+from .transform import ChebGrid, _as_floats
 
 __all__ = [
     "Integrand",
@@ -84,14 +84,7 @@ class Integrand:
                     raise IntegrandError(msg, node=x)
                 values.append(v)
             return np.array(values)
-        raw = self.eval(xs)
-        try:
-            if np.iscomplexobj(raw):  # the cast would drop the imaginary part with a warning
-                raise TypeError("complex values")
-            out = np.array(raw, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            msg = f"vectorized integrand values do not convert to float: {exc}"
-            raise InputError(msg) from None
+        out = _as_floats(self.eval(xs))
         if out.shape != xs.shape:
             raise InputError(
                 f"vectorized integrand returned shape {out.shape} for nodes of shape {xs.shape}"
@@ -126,18 +119,18 @@ class SampleCache:
 
     Holds f(cos(j*pi/N)) for the finest size N reached so far, where N is
     base_n times a power of two.  Any size n with N divisible by n is a
-    stride view into the same array, so nested reads are index-exact and
-    never rely on floating-point node comparisons.  The cache is the one
-    place that decides which sizes nested sampling serves: even sizes
-    n >= 2 that divide the first doubling of N at or above n
-    (:meth:`serves`); :meth:`ensure` raises SizeError for the rest.  One
-    cache serves one integrand: the first ``ensure`` binds it, and a later
-    call with a different integrand raises ConfigError.  Stored samples are
+    stride view into the same array, so nested reads are index-exact for
+    any base, odd or even, and never rely on floating-point node
+    comparisons.  One size rule decides what the cache serves: any integer
+    n >= 1 that divides the first doubling of N at or above n
+    (:meth:`serves`); :meth:`ensure` and :meth:`values_at` raise SizeError
+    for the rest.  The first ``ensure`` binds the cache to its integrand,
+    and a later call with another raises ConfigError.  Stored samples are
     read-only, like rules, so a view from :meth:`values_at` cannot alter them.
     """
 
     def __init__(self, base_n: int):
-        self.base_n = _size(base_n, 2, what="cache base size must be an even integer", even=True)
+        self.base_n = _size(base_n, 1, what="cache base size must be an integer")
         self._values: Optional[np.ndarray] = None
         self._f = None
 
@@ -150,15 +143,15 @@ class SampleCache:
         """Evaluations made so far: one per stored sample."""
         return 0 if self._values is None else len(self._values)
 
-    def _target(self, n: int) -> int:
-        """The finest size that serving ``n`` needs; SizeError if the cache cannot serve it."""
-        n = _size(n, 2, what="a cached size must be an even integer", even=True)
+    def _target(self, n: int) -> tuple:
+        """``n`` as an int and the finest size serving it needs; SizeError if the cache cannot."""
+        n = _size(n, 1, what="a cached size must be an integer")
         target = self.finest_n
         while target < n:
             target *= 2
         if target % n:
             raise SizeError(f"size {n} does not divide a doubling of {self.finest_n}")
-        return target
+        return n, target
 
     def serves(self, n: int) -> bool:
         """Whether :meth:`ensure` can make size ``n`` available."""
@@ -170,7 +163,7 @@ class SampleCache:
 
     def ensure(self, f, n: int) -> int:
         """Make size ``n`` available; return the number of new evaluations."""
-        target = self._target(n)
+        _, target = self._target(n)
         # == rather than is: bound methods are rebuilt on every attribute access.
         if self._values is not None and f is not self._f and f != self._f:
             raise ConfigError("sample cache already holds samples of a different integrand")
@@ -189,12 +182,11 @@ class SampleCache:
         return self.eval_count - before
 
     def values_at(self, n: int) -> np.ndarray:
-        if self._values is None:
-            raise SizeError("cache is empty; call ensure() first")
-        n = _size(n, 1, what="a cached size must be an integer")
-        if self.finest_n % n:
-            raise SizeError(f"size {n} does not divide the cached finest size {self.finest_n}")
-        return self._values[:: self.finest_n // n]
+        """Read-only samples at size ``n``, a stride view; SizeError unless ensured."""
+        n, target = self._target(n)
+        if self._values is None or target > self.finest_n:
+            raise SizeError(f"size {n} is not cached; call ensure(f, {n}) first")
+        return self._values[:: target // n]
 
 
 def integrate(rule: QuadratureRule, f) -> QuadratureResult:

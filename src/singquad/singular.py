@@ -39,7 +39,7 @@ class SingularityProfile:
     marks an extra log(1 - x) factor.  The endpoint data of the smooth
     factor g are supplied in closed form by the caller.
 
-    The constructor enforces finite fields, alpha, beta >= 0, not both
+    The constructor enforces finite real fields, alpha, beta >= 0, not both
     integers without the log factor, and a positive integer alpha when the
     log factor is present.  The dataclass is frozen, so every profile has
     passed these checks and the functions below take it as valid.
@@ -55,8 +55,13 @@ class SingularityProfile:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "g_at_1", "g_at_minus1", "g_prime_at_1", "g_prime_at_minus1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ProfileError(f"profile field {name} must be finite")
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:  # complex, str, None: not a real number
+                finite = False
+            if not finite:
+                raise ProfileError(f"profile field {name} must be finite and real, got {value!r}")
         a, b = self.alpha, self.beta
         if self.log_left and not (_is_integer(a) and a >= 1):
             raise ProfileError(

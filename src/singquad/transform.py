@@ -22,6 +22,16 @@ __all__ = [
 _BLOCK_ELEMENTS = 16384
 
 
+def _as_floats(values) -> np.ndarray:
+    """``values`` as a new float64 array; InputError if complex or not numbers."""
+    try:
+        if np.iscomplexobj(values):  # the cast would drop the imaginary part with a warning
+            raise TypeError("complex values")
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"values do not convert to float: {exc}") from None
+
+
 class ChebGrid:
     """Chebyshev-Lobatto angles theta_j = j*pi/n for j = 0..n.
 
@@ -68,9 +78,10 @@ def dct1(values) -> np.ndarray:
     Raises
     ------
     InputError
-        If fewer than two values are given or any sample is not finite.
+        If fewer than two values are given or any sample is complex, not a
+        number or not finite.
     """
-    v = np.asarray(values, dtype=float)
+    v = _as_floats(values)
     if v.ndim != 1 or v.size < 2:
         raise InputError(f"expected a 1-d array of at least 2 values, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -121,17 +132,18 @@ def cheb_eval(coeffs, x):
     Raises
     ------
     InputError
-        If the coefficient array is empty or a coefficient is not finite.
+        If the coefficient array is empty, a coefficient is not finite, or
+        a coefficient or point is complex or not a number.
     DomainError
         If any point lies outside [-1, 1] or is NaN.
     """
-    a = np.asarray(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs, dtype=float)
+    a = _as_floats(coeffs.coeffs if isinstance(coeffs, ChebCoeffs) else coeffs)
     if a.size == 0:
         raise InputError("cheb_eval needs at least one coefficient, got an empty coefficient array")
     if not np.isfinite(a).all():
         bad = int(np.flatnonzero(~np.isfinite(a))[0])
         raise InputError(f"non-finite coefficient at index {bad}")
-    xv = np.asarray(x, dtype=float)
+    xv = _as_floats(x)
     # Phrased so that NaN fails the test as well.
     if not np.all(np.abs(xv) <= 1.0):
         raise DomainError("cheb_eval requires |x| <= 1")

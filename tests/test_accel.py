@@ -143,12 +143,33 @@ def test_finer_cache_base_serves_a_divisor_as_a_stride_view():
 
 
 def test_an_odd_base_reads_a_stride_view_of_the_one_ensure():
-    # The cache is asked for 2**q * base_n only, so base 3 at depth 1 is
-    # served by a base-6 cache; it raised SizeError while each level was asked.
+    # The cache is asked for 2**q * base_n only, so base 3 at depth 0 is
+    # served by a base-6 cache as a stride view.
     f = lambda x: 1.0 / (2.0 + x)
-    tab = richardson(f, 3, 1, LADDER_24, SampleCache(6))
-    assert tab.rows[0] == (integrate(cc_rule_fast(3), f).approx, integrate(cc_rule_fast(6), f).approx)
-    assert tab.evals_used == 7
+    wrapped, calls = _counted(f)
+    tab = richardson(wrapped, 3, 0, (), SampleCache(6))
+    assert tab.value == integrate(cc_rule_fast(3), f).approx
+    assert tab.evals_used == calls[0] == 7
+
+
+def test_depth_zero_at_an_odd_base_is_the_plain_rule():
+    wrapped, calls = _counted(math.exp)
+    tab = richardson(wrapped, 7, 0, ())
+    assert tab.value == integrate(cc_rule_fast(7), math.exp).approx
+    assert tab.evals_used == calls[0] == 8
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("cached", [False, True])
+def test_an_odd_base_is_refused_for_every_extrapolation_level(q, cached):
+    # The error expansion holds along even sizes; a base-33 tableau on a
+    # cache of 2**q * 33 once returned R2 up to 7700 times less accurate.
+    wrapped, calls = _counted(math.exp)
+    cache = SampleCache(2**q * 33) if cached else None
+    with pytest.raises(SizeError, match="even base size >= 2, got 33"):
+        richardson(wrapped, 33, q, (2.0, 4.0, 6.0), cache)
+    assert calls[0] == 0
+    assert cache is None or cache.eval_count == 0
 
 
 def test_richardson_validation():
@@ -203,6 +224,8 @@ def test_a_cache_that_cannot_serve_the_tableau_names_its_finest_size():
         (3.0, 1.0),
         (2.0, 2.0),
         (),
+        (2 + 1j,),
+        ("2",),
     ],
     ids=repr,
 )
@@ -269,7 +292,17 @@ def test_fit_rate_needs_three_distinct_sizes():
 
 
 @pytest.mark.parametrize(
-    "bad", [(32, math.nan), (32, math.inf), (32, -math.inf), (0, 1e-3), (-8, 1e-2)]
+    "bad",
+    [
+        (32, math.nan),
+        (32, math.inf),
+        (32, -math.inf),
+        (0, 1e-3),
+        (-8, 1e-2),
+        (32, 1e-3 + 1j),
+        (32, None),
+        (32, "1e-3"),
+    ],
 )
 def test_fit_rate_rejects_non_finite_errors_and_sizes_below_one(bad):
     # a NaN must not be filed as noise with the fit going on around it

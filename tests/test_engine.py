@@ -249,11 +249,18 @@ def test_cache_refuses_a_second_integrand_object():
 
 def test_cache_serves_exactly_the_sizes_ensure_accepts():
     cache = SampleCache(8)
-    for n in (2, 4, 8, 16, 24, 64, 12, 6, 3, 0):
+    for n in (1, 2, 4, 8, 16, 24, 64, 12, 6, 3, 0):
         served = cache.serves(n)
-        assert served == (n in (2, 4, 8, 16, 64)), n
+        assert served == (n in (1, 2, 4, 8, 16, 64)), n
     cache.ensure(math.exp, 64)
     assert cache.serves(32) and cache.serves(128) and not cache.serves(96)
+    odd = SampleCache(3)
+    for n in (1, 2, 3, 4, 5, 6, 9, 12, 24, 0):
+        assert odd.serves(n) == (n in (1, 3, 6, 12, 24)), n
+    with pytest.raises(SizeError):
+        odd.ensure(math.exp, 4)
+    assert odd.ensure(math.exp, 12) == 13
+    assert odd.serves(1) and odd.serves(48) and not odd.serves(18)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +293,7 @@ def test_cached_and_fresh_results_are_identical():
     assert richardson(f, 16, 0, (), cache).value == integrate(cc_rule_fast(16), f).approx
 
 
-@pytest.mark.parametrize("base", [8, 12, 28])
+@pytest.mark.parametrize("base", [3, 7, 8, 12, 28])
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_nested_samples_equal_fresh_samples_bit_for_bit(base, vectorized):
     # Each doubling takes cosines only at the new odd angles.  The identity
@@ -346,8 +353,6 @@ def test_a_reused_output_buffer_leaves_cached_samples_unchanged():
 
 def test_cache_size_validation():
     with pytest.raises(SizeError):
-        SampleCache(3)
-    with pytest.raises(SizeError):
         SampleCache(0)
     cache = SampleCache(8)
     with pytest.raises(SizeError):
@@ -362,6 +367,16 @@ def test_cache_size_validation():
         with pytest.raises(SizeError):
             cache.values_at(n)
     assert cache.values_at(8).shape == (9,)
+
+
+def test_values_at_an_unensured_size_names_the_missing_ensure():
+    cache = SampleCache(8)
+    with pytest.raises(SizeError, match=r"size 8 is not cached; call ensure\(f, 8\) first"):
+        cache.values_at(8)
+    cache.ensure(math.exp, 16)
+    with pytest.raises(SizeError, match=r"call ensure\(f, 32\) first"):
+        cache.values_at(32)
+    assert np.array_equal(cache.values_at(16.0), Integrand(math.exp).sample(ChebGrid(16).nodes))
 
 
 def test_cache_refuses_a_second_integrand():

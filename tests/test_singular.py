@@ -144,7 +144,7 @@ def test_profile_rejects_negative_exponents():
 @pytest.mark.parametrize(
     "field", ["alpha", "beta", "g_at_1", "g_at_minus1", "g_prime_at_1", "g_prime_at_minus1"]
 )
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 0j, "0.5", None])
 def test_profile_rejects_a_non_finite_field(field, bad):
     fields = dict(alpha=0.5, beta=0.0, g_at_1=1.0, g_at_minus1=1.0, g_prime_at_1=0.0)
     fields["g_prime_at_minus1"] = 0.0

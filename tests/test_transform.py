@@ -1,6 +1,7 @@
 """Transform-layer tests: grids, DCT-I, coefficient maps, evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,35 @@ def test_dct1_rejects_non_finite_sample():
 def test_dct1_rejects_non_vector_input():
     with pytest.raises(InputError):
         dct1(np.ones((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        dct1,
+        cheb_coeffs,
+        lambda v: cheb_eval(v, 0.3),
+        lambda v: cheb_eval([1.0, 2.0, 3.0], v),
+    ],
+    ids=["dct1", "cheb_coeffs", "cheb_eval-coefficients", "cheb_eval-points"],
+)
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([0.1 + 0.5j, 0.2, 0.3]),
+        np.array([0.1, 0.2, 0.3]) + 0j,
+        [0.1 + 0.5j, 0.2, 0.3],
+        ["abc"],
+    ],
+    ids=["complex-array", "zero-imaginary-array", "complex-list", "strings"],
+)
+def test_values_that_are_not_real_numbers_raise_input_error(call, values):
+    # The float cast once kept the real parts with only a ComplexWarning,
+    # or raised a bare TypeError or ValueError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="do not convert to float"):
+            call(values)
 
 
 @settings(max_examples=30, deadline=None)
