@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+def _finite_real(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except (TypeError, OverflowError):  # complex, str, None, or an int past float range
+        return False
+
+
 def _check_ladder(ladder, q: int) -> tuple:
     """The ladder as a tuple, once it is known to serve q extrapolation levels.
 
@@ -40,11 +47,7 @@ def _check_ladder(ladder, q: int) -> tuple:
     d = tuple(ladder)
     if len(d) < q:
         raise ConfigError(f"depth {q} needs a ladder of length >= {q}, got {len(d)}")
-    try:
-        finite = all(math.isfinite(v) for v in d)
-    except TypeError:  # complex, str, None: not a real number
-        finite = False
-    if not finite:
+    if not all(_finite_real(v) for v in d):
         raise ConfigError(f"ladder exponents must be finite and real, got {d}")
     if not all(hi > lo for lo, hi in zip(d, d[1:])):
         raise ConfigError(f"ladder exponents must increase strictly, got {d}")
@@ -57,11 +60,17 @@ def extrapolate_rows(row0: Sequence[float], ladder) -> list:
     """Fill the extrapolation triangle from its first row.
 
     ``row0`` holds values at sizes n, 2n, ..., 2**q * n; row j+1 entry k is
-    (2**(d_j+1) * rows[j][k+1] - rows[j][k]) / (2**(d_j+1) - 1).
+    (2**(d_j+1) * rows[j][k+1] - rows[j][k]) / (2**(d_j+1) - 1).  An empty
+    row, or an entry that does not convert to float, raises InputError.
     """
     q = len(row0) - 1
+    if q < 0:
+        raise InputError("extrapolation needs at least one value in row 0")
     ladder = _check_ladder(ladder, q)
-    rows = [list(float(v) for v in row0)]
+    try:
+        rows = [[float(v) for v in row0]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"row 0 values do not convert to float: {exc}") from None
     for j in range(q):
         fac = 2.0 ** (float(ladder[j]) + 1.0)
         prev = rows[-1]
@@ -125,19 +134,18 @@ def richardson(
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Fitted decay exponent p in |error| ~ C * n**(-p).
-
-    ``window`` holds the (n, error) pairs actually fitted; ``discarded``
-    the pairs dropped for sitting at or below the noise floor.
-    """
+    """Fitted decay exponent p in |error| ~ C * n**(-p)."""
 
     slope: float
-    window: tuple
-    discarded: tuple
 
 
 def default_noise_floor(reference: float = 0.0) -> float:
-    """Error magnitude below which points are treated as rounding noise."""
+    """Error magnitude below which points are treated as rounding noise.
+
+    ``reference`` must be a finite real number, else InputError.
+    """
+    if not _finite_real(reference):
+        raise InputError(f"noise floor reference must be finite and real, got {reference!r}")
     return 100.0 * float(np.finfo(float).eps) * (1.0 + abs(reference))
 
 
@@ -147,20 +155,19 @@ def fit_rate(errors, noise_floor: Optional[float] = None) -> RateEstimate:
     ``errors`` is an iterable of (n, error) pairs with an integral n >= 1
     and a finite real error, else InputError; pairs with |error| at or below the
     noise floor are discarded, and at least three distinct sizes must survive.
+    A noise floor must be finite, real and >= 0, else InputError.
     """
     if noise_floor is None:
         noise_floor = default_noise_floor()
+    elif not _finite_real(noise_floor) or noise_floor < 0:
+        raise InputError(f"noise floor must be finite, real and >= 0, got {noise_floor!r}")
     window = []
-    discarded = []
     for n, err in errors:
-        try:
-            finite = math.isfinite(err)
-        except TypeError:  # complex, str, None: not a real number
-            finite = False
-        if not finite:
+        if not _finite_real(err):
             raise InputError(f"rate fit needs a finite real error, got {(n, err)!r}")
         n = _size(n, 1, InputError, "rate fit needs an integer n", got=(n, err))
-        (window if abs(err) > noise_floor else discarded).append((n, float(err)))
+        if abs(err) > noise_floor:
+            window.append((n, float(err)))
     if len({n for n, _ in window}) < 3:
         raise InsufficientDataError(
             f"rate fit needs >= 3 points above the noise floor, got {len(window)}"
@@ -168,4 +175,4 @@ def fit_rate(errors, noise_floor: Optional[float] = None) -> RateEstimate:
     log_n = np.array([math.log(n) for n, _ in window])
     log_e = np.array([math.log(abs(err)) for _, err in window])
     slope = np.polyfit(log_n, log_e, 1)[0]
-    return RateEstimate(slope=-float(slope), window=tuple(window), discarded=tuple(discarded))
+    return RateEstimate(slope=-float(slope))

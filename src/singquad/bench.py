@@ -245,7 +245,6 @@ class ExperimentConfig:
 class ConvergenceRecord:
     """One (method, n) outcome; ``evals`` counts new integrand evaluations."""
 
-    fn: str
     method: str
     n: int
     approx: float
@@ -286,9 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
                         caches.append(cache)
                     tableau = richardson(f, n, q, ladder, cache)
                     approx, evals = tableau.value, tableau.evals_used
-                records.append(
-                    ConvergenceRecord(cfg.fn, method, n, approx, abs(approx - reference), evals)
-                )
+                records.append(ConvergenceRecord(method, n, approx, abs(approx - reference), evals))
         except SingquadError as exc:
             warnings.warn(
                 f"{cfg.fn}: method {method} stopped at n={n}: {type(exc).__name__}: {exc}",

@@ -117,27 +117,17 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    kwargs: dict = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            kwargs = parse_config_text(handle.read())
-    out = kwargs.pop("out", None)
-    # flags win over config-file values
-    if args.fn is not None:
-        kwargs["fn"] = args.fn
+    kwargs: dict = {"fn": args.fn}
     if args.methods is not None:
-        kwargs["methods"] = parse_methods(args.methods)
+        # blanks around and between commas are dropped
+        kwargs["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if args.n is not None:
         kwargs["n_values"] = parse_n_spec(args.n)
-    if args.out is not None:
-        out = args.out
-    if "fn" not in kwargs:
-        raise ConfigError("an experiment needs a corpus function: set fn in the config or --fn")
     records = bench.run_experiment(bench.ExperimentConfig(**kwargs))
-    if out is None:
+    if args.out is None:
         sys.stdout.write(bench.render_csv(records))
     else:
-        _write_csv(records, out)
+        _write_csv(records, args.out)
     return 0
 
 
@@ -162,36 +152,6 @@ def parse_n_spec(text: str) -> tuple:
         return (int(text),)
     except ValueError as exc:
         raise ConfigError(f"cannot parse size list {text!r}: {exc}") from None
-
-
-def parse_methods(text: str) -> tuple:
-    """Method lists: comma-separated names; blanks around and between commas are dropped."""
-    return tuple(m.strip() for m in text.split(",") if m.strip())
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse 'key = value' lines into ExperimentConfig arguments and "out".
-
-    Keys: fn, methods (see :func:`parse_methods`), n (see
-    :func:`parse_n_spec`), out.  Blank lines and '#' comments are skipped.
-    """
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"config line {lineno} is not 'key = value': {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key == "methods":
-            value = parse_methods(value)
-        elif key == "n":
-            key, value = "n_values", parse_n_spec(value)
-        elif key not in ("fn", "out"):
-            raise ConfigError(f"unknown config key {key!r} on line {lineno}")
-        out[key] = value
-    return out
 
 
 def _build_parser() -> _Parser:
@@ -234,8 +194,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_reproduce)
 
     p = sub.add_parser("experiment", help="run a convergence experiment")
-    p.add_argument("--config", help="key = value experiment file")
-    p.add_argument("--fn")
+    p.add_argument("--fn", required=True)
     p.add_argument("--methods", help="comma-separated subset of cc,gl,r1,r2")
     p.add_argument("--n", help="size list, e.g. '16..2048 x2'")
     p.add_argument("--out")

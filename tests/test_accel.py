@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from singquad.accel import (
@@ -52,6 +53,15 @@ def test_row_lengths_shrink_by_one_per_level():
 def test_more_levels_than_ladder_entries_is_rejected():
     with pytest.raises(ConfigError):
         extrapolate_rows([3.0, 2.0, 1.0], (2.0,))
+
+
+@pytest.mark.parametrize(
+    "row0", [[], [1 + 0j, 1.0], [1.0, None], ["abc", 1.0], [10**400, 1.0]]
+)
+def test_extrapolate_rows_rejects_an_empty_row_and_values_that_are_not_real(row0):
+    # an empty row has no value to return; a complex entry must not be cast away
+    with pytest.raises(InputError):
+        extrapolate_rows(row0, (2.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +255,18 @@ def test_bad_ladders_are_rejected_before_sampling(ladder):
 # fit_rate
 
 
+def _fitted_slope(pairs):
+    """The least-squares decay exponent over exactly these (n, error) pairs."""
+    log_n = np.array([math.log(n) for n, _ in pairs])
+    log_e = np.array([math.log(abs(err)) for _, err in pairs])
+    return -float(np.polyfit(log_n, log_e, 1)[0])
+
+
 def test_fit_rate_recovers_exact_power():
     errors = [(n, n ** (-3.0)) for n in (8, 16, 32, 64, 128)]
     est = fit_rate(errors)
     assert abs(est.slope - 3.0) <= 1e-10
-    assert len(est.window) == 5
-    assert est.discarded == ()
+    assert est.slope == _fitted_slope(errors)  # no pair dropped
 
 
 def test_fit_rate_ignores_amplitude_and_sign():
@@ -269,8 +285,7 @@ def test_fit_rate_is_invariant_under_error_scaling():
 def test_fit_rate_discards_points_at_the_noise_floor():
     errors = [(8, 1e-2), (16, 1e-3), (32, 1e-4), (64, 5e-15), (128, 0.0)]
     est = fit_rate(errors)
-    assert est.discarded == ((64, 5e-15), (128, 0.0))
-    assert [n for n, _ in est.window] == [8, 16, 32]
+    assert est.slope == _fitted_slope(errors[:3])  # the two noise pairs dropped
     # decade drop per doubling
     assert abs(est.slope - math.log2(10.0)) <= 1e-10
 
@@ -278,8 +293,7 @@ def test_fit_rate_discards_points_at_the_noise_floor():
 def test_fit_rate_zero_floor_keeps_everything():
     errors = [(8, 1e-2), (16, 1e-3), (32, 1e-16)]
     est = fit_rate(errors, noise_floor=0.0)
-    assert len(est.window) == 3
-    assert est.discarded == ()
+    assert est.slope == _fitted_slope(errors)
 
 
 def test_fit_rate_needs_three_distinct_sizes():
@@ -302,6 +316,7 @@ def test_fit_rate_needs_three_distinct_sizes():
         (32, 1e-3 + 1j),
         (32, None),
         (32, "1e-3"),
+        (32, 10**400),
     ],
 )
 def test_fit_rate_rejects_non_finite_errors_and_sizes_below_one(bad):
@@ -316,6 +331,20 @@ def test_fit_rate_rejects_sizes_that_are_not_integers(sizes):
     # exact n**-3 data: truncating n = 2.5 to 2 would fit a slope of 2.568
     with pytest.raises(InputError, match="integer n"):
         fit_rate([(n, n**-3.0) for n in sizes])
+
+
+@pytest.mark.parametrize("floor", [-1.0, math.nan, math.inf, "1e-3", 1e-3j])
+def test_fit_rate_rejects_a_noise_floor_that_is_negative_non_finite_or_not_real(floor):
+    # a negative floor kept the zero error, and math.log(0) raised a bare ValueError
+    with pytest.raises(InputError, match="noise floor"):
+        fit_rate([(8, 0.0), (16, 1e-3), (32, 1e-4), (64, 1e-5)], noise_floor=floor)
+
+
+@pytest.mark.parametrize("reference", [math.nan, math.inf, "x", 1j, None])
+def test_default_noise_floor_rejects_a_reference_that_is_not_finite_and_real(reference):
+    # a NaN floor discarded every pair: InsufficientDataError "got 0"
+    with pytest.raises(InputError, match="noise floor reference"):
+        default_noise_floor(reference)
 
 
 def test_default_noise_floor_scales_with_reference():

@@ -22,7 +22,7 @@ from singquad.bench import (
     run_experiment,
     tanh_sinh,
 )
-from singquad.cli import cli, parse_config_text, parse_n_spec
+from singquad.cli import cli, parse_n_spec
 from singquad.engine import Integrand
 from singquad.errors import ConfigError, IntegrandError, OracleError
 from singquad.transform import ChebGrid
@@ -258,19 +258,17 @@ def test_records_come_out_in_canonical_order():
         ("cc", 16), ("cc", 32), ("gl", 16), ("gl", 32), ("r1", 16), ("r1", 32),
     ]
     for r in records:
-        assert r.fn == "F1b"
         assert r.abs_error == abs(
             r.approx - corpus_reference("F1b")
         )
 
 
 def test_run_experiment_writes_csv_when_asked(tmp_path, capsys):
-    # run_experiment only returns records; a config's `out =` asks the CLI
-    # to write exactly render_csv of those records
+    # run_experiment only returns records; --out asks the CLI to write
+    # exactly render_csv of those records
     path = tmp_path / "out.csv"
-    config = tmp_path / "run.cfg"
-    config.write_text(f"fn = F3a\nmethods = cc\nn = 16,32\nout = {path}\n", encoding="ascii")
-    assert cli(["experiment", "--config", str(config)]) == 0
+    argv = ["experiment", "--fn", "F3a", "--methods", "cc", "--n", "16,32", "--out", str(path)]
+    assert cli(argv) == 0
     assert capsys.readouterr().out == f"wrote {path}\n"
     records = run_experiment(ExperimentConfig(fn="F3a", methods=("cc",), n_values=(16, 32)))
     assert path.read_text(encoding="ascii") == render_csv(records)
@@ -350,7 +348,7 @@ def test_empty_method_list_is_rejected():
 
 
 def test_csv_round_trips_floats_exactly():
-    records = [ConvergenceRecord("F1a", "cc", 16, 1.0 / 3.0, 2.5e-17, 17)]
+    records = [ConvergenceRecord("cc", 16, 1.0 / 3.0, 2.5e-17, 17)]
     text = render_csv(records)
     lines = text.splitlines()
     assert lines[0] == "n,method,approx,abs_error,evals"
@@ -371,7 +369,7 @@ def test_write_csv(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# experiment config text, parsed by the CLI
+# size lists, parsed by the CLI
 
 
 def test_parse_n_spec_forms():
@@ -386,28 +384,3 @@ def test_parse_n_spec_rejects_malformed_text():
         with pytest.raises(ConfigError):
             parse_n_spec(bad)
 
-
-def test_parse_config_text():
-    text = """
-    # convergence run
-    fn = F2a
-    methods = cc, r2
-    n = 16..128 x2
-    out = run.csv
-    """
-    parsed = parse_config_text(text)
-    assert parsed == {
-        "fn": "F2a",
-        "methods": ("cc", "r2"),
-        "n_values": (16, 32, 64, 128),
-        "out": "run.csv",
-    }
-    del parsed["out"]  # the CLI's output path, not part of the experiment
-    assert ExperimentConfig(**parsed).fn == "F2a"
-
-
-def test_parse_config_text_rejects_bad_lines():
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config_text("tolerance = 1e-10")
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config_text("fn = F1a\njust words\n")

@@ -137,29 +137,6 @@ def test_readme_command_line_block_runs(capsys, monkeypatch, tmp_path):
         assert code == 0, (argv, err)
 
 
-def test_experiment_config_file_streams_csv(capsys, tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("fn = F1a\nmethods = cc, gl\nn = 16,32\n", encoding="ascii")
-    code, out, _ = _run(capsys, ["experiment", "--config", str(config)])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == CSV_HEADER
-    assert [l.split(",")[1] for l in lines[1:]] == ["cc", "cc", "gl", "gl"]
-
-
-def test_experiment_flags_override_the_config(capsys, tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("fn = F1a\nmethods = cc, gl\nn = 16,32\n", encoding="ascii")
-    code, out, _ = _run(
-        capsys,
-        ["experiment", "--config", str(config), "--methods", "gl", "--n", "16"],
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("16,gl,")
-
-
 def test_empty_methods_flag_exits_1(capsys):
     code, out, err = _run(capsys, ["experiment", "--fn", "F1a", "--methods", ",", "--n", "16"])
     assert code == 1
@@ -167,23 +144,11 @@ def test_empty_methods_flag_exits_1(capsys):
     assert err == "error: methods must be non-empty\n"
 
 
-def test_empty_methods_config_line_exits_1(capsys, tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("fn = F1a\nmethods =\nn = 16\n", encoding="ascii")
-    code, out, err = _run(capsys, ["experiment", "--config", str(config)])
-    assert code == 1
-    assert out == ""
-    assert err == "error: methods must be non-empty\n"
-
-
-def test_methods_flag_and_config_line_parse_alike(capsys, monkeypatch, tmp_path):
+def test_methods_flag_drops_blanks_around_and_between_commas(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr("singquad.bench.run_experiment", lambda cfg: seen.append(cfg) or [])
-    config = tmp_path / "run.cfg"
-    config.write_text("fn = F1a\nmethods =  r2 , cc ,\n", encoding="ascii")
-    assert _run(capsys, ["experiment", "--config", str(config)])[0] == 0
     assert _run(capsys, ["experiment", "--fn", "F1a", "--methods", " r2 , cc ,"])[0] == 0
-    assert [cfg.methods for cfg in seen] == [("r2", "cc"), ("r2", "cc")]
+    assert [cfg.methods for cfg in seen] == [("r2", "cc")]
 
 
 def test_an_off_chain_size_gets_its_own_cc_row(capsys):
@@ -261,17 +226,9 @@ def test_experiment_writes_the_stdout_csv_bytes_to_out(capsys, tmp_path):
     argv = ["experiment", "--fn", "F3a", "--methods", "cc,r1", "--n", "16,32"]
     code, stdout_csv, _ = _run(capsys, argv)
     assert code == 0
-    flag_path, config_path = tmp_path / "flag.csv", tmp_path / "config.csv"
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        f"fn = F3a\nmethods = cc,r1\nn = 16,32\nout = {config_path}\n", encoding="ascii"
-    )
-    for run, path in (
-        (argv + ["--out", str(flag_path)], flag_path),
-        (["experiment", "--config", str(config)], config_path),
-    ):
-        assert _run(capsys, run) == (0, f"wrote {path}\n", "")
-        assert path.read_text(encoding="ascii") == stdout_csv
+    path = tmp_path / "flag.csv"
+    assert _run(capsys, argv + ["--out", str(path)]) == (0, f"wrote {path}\n", "")
+    assert path.read_text(encoding="ascii") == stdout_csv
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +243,11 @@ def test_usage_problems_exit_1(capsys):
     assert _run(capsys, ["rule", "--kind", "cc", "--n", "8", "--fast"])[0] == 1
     argv = ["integrate", "--fn", "F1a", "--n", "16", "--method", "coeffs"]
     assert _run(capsys, argv)[0] == 1
+    # one way to configure an experiment: flags, no config file
+    assert _run(capsys, ["experiment", "--fn", "F1a", "--config", "x.cfg"])[0] == 1
 
 
-def test_configuration_problems_exit_1(capsys):
+def test_configuration_problems_exit_1(capsys, tmp_path):
     code, _, err = _run(capsys, ["integrate", "--fn", "bogus", "--n", "16"])
     assert code == 1 and "error:" in err
 
@@ -300,9 +259,10 @@ def test_configuration_problems_exit_1(capsys):
     assert code == 1 and "error:" in err
 
     code, _, err = _run(capsys, ["experiment"])
-    assert code == 1 and "corpus function" in err
+    assert code == 1 and "--fn" in err
 
-    code, _, err = _run(capsys, ["experiment", "--config", "/no/such/file.cfg"])
+    out = tmp_path / "no" / "such" / "dir" / "run.csv"
+    code, _, err = _run(capsys, ["experiment", "--fn", "F1a", "--n", "16", "--out", str(out)])
     assert code == 1 and "error:" in err
 
 

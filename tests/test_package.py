@@ -141,7 +141,7 @@ SIZE_ENTRY_POINTS = {
     "fit_rate": (
         InputError,
         0,
-        lambda n: ((r := singquad.fit_rate([(n, 1e-3), (16, 2e-4), (32, 3e-5)])).window[0][0], r),
+        lambda n: (None, singquad.fit_rate([(n, 1e-3), (16, 2e-4), (32, 3e-5)]).slope),
     ),
     "run_experiment": (ConfigError, 0, lambda n: ((rs := _experiment(n))[0].n, rs)),
 }
