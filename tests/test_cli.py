@@ -226,7 +226,7 @@ def test_experiment_writes_the_stdout_csv_bytes_to_out(capsys, tmp_path):
     argv = ["experiment", "--fn", "F3a", "--methods", "cc,r1", "--n", "16,32"]
     code, stdout_csv, _ = _run(capsys, argv)
     assert code == 0
-    path = tmp_path / "flag.csv"
+    path = tmp_path / "run.csv"
     assert _run(capsys, argv + ["--out", str(path)]) == (0, f"wrote {path}\n", "")
     assert path.read_text(encoding="ascii") == stdout_csv
 
