@@ -55,9 +55,7 @@ def test_more_levels_than_ladder_entries_is_rejected():
         extrapolate_rows([3.0, 2.0, 1.0], (2.0,))
 
 
-@pytest.mark.parametrize(
-    "row0", [[], [1 + 0j, 1.0], [1.0, None], ["abc", 1.0], [10**400, 1.0]]
-)
+@pytest.mark.parametrize("row0", [[], [1 + 0j, 1.0], [1.0, None], ["abc", 1.0], [10**400, 1.0]])
 def test_extrapolate_rows_rejects_an_empty_row_and_values_that_are_not_real(row0):
     # an empty row has no value to return; a complex entry must not be cast away
     with pytest.raises(InputError):
